@@ -1,17 +1,26 @@
 // Kernel benchmark: GFLOP/s and bytes/s for every multiply kernel over
 // (representation, transpose-flags, block-size), a thread-count axis for
-// the parallel dense macro-kernel (GemmParallel over a shared ThreadPool),
-// plus the vectorized reduction/elementwise primitives, plus the seed's
-// pre-packing dense GEMM loop as the speedup baseline
-// (tests/matrix/kernel_reference.h keeps the same loop as the
-// differential-test reference).
+// the parallel dense and sparse kernels (GemmParallel over a shared
+// ThreadPool), SpMV sweeps over a bs×bs block with eight non-zeros per
+// column (`dense_sparse_spmv`: PageRank's 1×bs row vector times the block;
+// `sparse_dense_spmv`: the block, plain or transposed, times a bs×1 column
+// vector, LinReg's V·p and Vᵀ·r), plus the
+// vectorized reduction/elementwise primitives, plus the seed's pre-packing
+// dense GEMM loop as the speedup baseline (tests/matrix/kernel_reference.h
+// keeps the same loop as the differential-test reference).
 //
 // Emits BENCH_kernels.json (override with --out=PATH) with one entry per
-// measured configuration and two summaries at the default block size:
-// `dense_gemm_speedup_vs_seed` (packed vs seed loop, the packed-layer
-// acceptance number) and `dense_gemm_parallel_speedup_4t` (4-thread vs
-// 1-thread packed — honest on the runner, so ~1.0 on a 1-core machine).
-// `--quick` or DMAC_BENCH_SCALE>1 trims the size sweep for CI smoke runs.
+// measured configuration and three summaries: `dense_gemm_speedup_vs_seed`
+// (packed vs seed loop at the default block size, the packed-layer
+// acceptance number), `dense_gemm_parallel_speedup_4t` (4-thread vs
+// 1-thread packed at the default block size) and
+// `sparse_gemm_parallel_speedup_4t` (4-thread vs 1-thread, geometric mean
+// of the three sparse pairings' `nn` rows at the largest swept block size).
+// Both scaling numbers are honest on the runner, so ~1.0 on a 1-core
+// machine. `--quick` or DMAC_BENCH_SCALE>1 trims the sweeps for CI smoke
+// runs.
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -54,21 +63,32 @@ double GflopsOrZero(double flops, double seconds) {
   return seconds > 0 ? flops / seconds / 1e9 : 0;
 }
 
-/// Times `fn` (one kernel call) adaptively: repeat until the total wall
-/// time crosses a floor so fast configs are not quantization noise, and
-/// report the mean per-call seconds.
+/// Timed windows per row; a row reports their median. Thread-scaling
+/// ratios between rows, and the sparse cutoff read from them, need rows
+/// that a shared host's bursts do not move.
+constexpr int kRepeats = 5;
+
+/// Times `fn` (one kernel call) adaptively: each window repeats the call
+/// until its wall time crosses a floor so fast configs are not
+/// quantization noise; returns the median over kRepeats windows of the
+/// mean per-call seconds.
 template <typename Fn>
 double TimeCall(Fn&& fn, double min_seconds) {
   // Warm-up call: faults the operands in and grows the packing scratch so
   // the measured calls see a steady state.
   fn();
-  int calls = 0;
-  Timer timer;
-  do {
-    fn();
-    ++calls;
-  } while (timer.ElapsedSeconds() < min_seconds && calls < 1000);
-  return timer.ElapsedSeconds() / calls;
+  std::vector<double> windows;
+  for (int r = 0; r < kRepeats; ++r) {
+    int calls = 0;
+    Timer timer;
+    do {
+      fn();
+      ++calls;
+    } while (timer.ElapsedSeconds() < min_seconds && calls < 1000);
+    windows.push_back(timer.ElapsedSeconds() / calls);
+  }
+  std::sort(windows.begin(), windows.end());
+  return windows[kRepeats / 2];
 }
 
 int64_t BlockBytes(const Block& b) {
@@ -88,9 +108,9 @@ Block MakeOperand(int64_t rows, int64_t cols, bool trans, bool sparse,
                 : RandomDenseBlock(r, c, seed);
 }
 
-/// `threads` > 1 routes the dense macro-kernel through GemmParallel over
-/// `pool` (which needs at least threads-1 workers); the serial small-product
-/// cutoff still applies, so tiny blocks report flat scaling by design.
+/// `threads` > 1 routes the kernel through GemmParallel over `pool` (which
+/// needs at least threads-1 workers); the serial small-product cutoffs
+/// still apply, so small products report flat scaling by design.
 Entry BenchGemm(bool a_sparse, bool b_sparse, bool ta, bool tb, int64_t bs,
                 double min_seconds, int threads = 1,
                 ThreadPool* pool = nullptr) {
@@ -133,6 +153,51 @@ Entry BenchGemm(bool a_sparse, bool b_sparse, bool ta, bool tb, int64_t bs,
   const double bytes =
       BlockBytes(a) + BlockBytes(b) + 2.0 * bs * bs * sizeof(Scalar);
   e.bytes_per_second = bytes / seconds;
+  return e;
+}
+
+/// SpMV shapes over a bs×bs CSC block with kSpmvNnzPerCol non-zeros per
+/// column, so the work (2·nnz) grows linearly with bs and the sweep crosses
+/// kSparseParallelMinWork between bs 16384 (duplicate draws leave 2·nnz
+/// just under it) and 32768; smaller rows show the serial fast path (flat
+/// scaling by design). `row_vector` runs PageRank's 1×bs · block
+/// (`dense_sparse_spmv`, column chunks); otherwise op(block) · bs×1
+/// (`sparse_dense_spmv`), where `trans` runs the gather kernel, which
+/// splits a column-vector output by rows, and the plain scatter kernel
+/// stays serial on it (docs/kernels.md#threaded-sparse-kernels).
+constexpr double kSpmvNnzPerCol = 8;
+
+Entry BenchSpmv(bool row_vector, bool trans, int64_t bs, double min_seconds,
+                int threads, ThreadPool* pool) {
+  const Block v = RandomSparseBlock(
+      bs, bs, kSpmvNnzPerCol / static_cast<double>(bs), 2);
+  const Block x =
+      row_vector ? RandomDenseBlock(1, bs, 1) : RandomDenseBlock(bs, 1, 1);
+  const Block& a = row_vector ? x : v;
+  const Block& b = row_vector ? v : x;
+  DenseBlock acc(row_vector ? 1 : bs, row_vector ? bs : 1);
+  GemmParallel par;
+  par.pool = pool;
+  par.max_workers = threads;
+  const GemmParallel* parp = threads > 1 ? &par : nullptr;
+
+  const double seconds = TimeCall(
+      [&] {
+        Status call = MultiplyAccumulate(a, b, trans, false, &acc, nullptr,
+                                         nullptr, parp);
+        DMAC_CHECK(call.ok()) << call.ToString();
+      },
+      min_seconds);
+  Entry e;
+  e.kind = "gemm";
+  e.representation = row_vector ? "dense_sparse_spmv" : "sparse_dense_spmv";
+  e.trans = trans ? "tn" : "nn";
+  e.block_size = bs;
+  e.threads = threads;
+  e.seconds = seconds;
+  e.gflops = GflopsOrZero(2.0 * static_cast<double>(v.sparse().nnz()), seconds);
+  e.bytes_per_second =
+      (BlockBytes(a) + BlockBytes(b) + 2.0 * bs * sizeof(Scalar)) / seconds;
   return e;
 }
 
@@ -282,18 +347,37 @@ int Main(int argc, char** argv) {
     for (const Entry& e : BenchVecPrimitives(bs, min_seconds)) emit(e);
   }
 
-  // Thread-count axis for the one kernel that fans out — dense×dense nn at
-  // the block sizes above the serial cutoff (docs/performance.md explains
-  // how to read the scaling column against the machine's core count).
-  {
-    const int kMaxThreads = 4;
-    ThreadPool pool(kMaxThreads - 1);
-    for (int64_t bs : sizes) {
-      if (bs < kDefaultBs) continue;  // below the parallel flop cutoff
-      for (int threads : {2, kMaxThreads}) {
-        emit(BenchGemm(false, false, false, false, bs, min_seconds, threads,
-                       &pool));
+  // Thread-count axes at the block sizes above the serial cutoffs
+  // (docs/performance.md explains how to read the scaling column against
+  // the machine's core count): dense×dense nn, every sparse pairing and
+  // flag case, and the SpMV sweeps with their 1-thread baselines.
+  const int kMaxThreads = 4;
+  ThreadPool pool(kMaxThreads - 1);
+  for (int64_t bs : sizes) {
+    if (bs < kDefaultBs) continue;  // below the parallel flop cutoff
+    for (int threads : {2, kMaxThreads}) {
+      emit(BenchGemm(false, false, false, false, bs, min_seconds, threads,
+                     &pool));
+      for (bool a_sparse : {false, true}) {
+        for (bool b_sparse : {false, true}) {
+          if (!a_sparse && !b_sparse) continue;
+          for (bool ta : {false, true}) {
+            for (bool tb : {false, true}) {
+              emit(BenchGemm(a_sparse, b_sparse, ta, tb, bs, min_seconds,
+                             threads, &pool));
+            }
+          }
+        }
       }
+    }
+  }
+  std::vector<int64_t> spmv_sizes = {4096, 8192, 16384, 32768, 65536};
+  if (quick) spmv_sizes = {4096, 65536};
+  for (int64_t bs : spmv_sizes) {
+    for (int threads : {1, 2, kMaxThreads}) {
+      emit(BenchSpmv(true, false, bs, min_seconds, threads, &pool));
+      emit(BenchSpmv(false, false, bs, min_seconds, threads, &pool));
+      emit(BenchSpmv(false, true, bs, min_seconds, threads, &pool));
     }
   }
 
@@ -319,6 +403,32 @@ int Main(int argc, char** argv) {
               static_cast<long long>(kDefaultBs), packed_gflops, seed_gflops,
               speedup, packed_gflops_4t, par_speedup);
 
+  // Sparse scaling: geometric mean over the three sparse pairings of the
+  // nn 4-thread / 1-thread rate ratio at the largest swept block size.
+  const int64_t sparse_bs = sizes.back();
+  double log_sum = 0;
+  int pairings = 0;
+  for (const char* rep : {"sparse_dense", "dense_sparse", "sparse_sparse"}) {
+    double one = 0, four = 0;
+    for (const Entry& e : entries) {
+      if (e.kind != "gemm" || e.representation != rep || e.trans != "nn" ||
+          e.block_size != sparse_bs) {
+        continue;
+      }
+      if (e.threads == 1) one = e.gflops;
+      if (e.threads == kMaxThreads) four = e.gflops;
+    }
+    if (one > 0 && four > 0) {
+      log_sum += std::log(four / one);
+      ++pairings;
+    }
+  }
+  const double sparse_par_speedup =
+      pairings > 0 ? std::exp(log_sum / pairings) : 0;
+  std::printf("sparse GEMM @ bs=%lld: 4 threads -> %.2fx scaling (geometric "
+              "mean of sparse_dense, dense_sparse, sparse_sparse nn)\n",
+              static_cast<long long>(sparse_bs), sparse_par_speedup);
+
   std::string json = "{\n";
   json += "  \"schema\": \"dmac-kernel-bench-v2\",\n";
   json += "  \"default_block_size\": " + std::to_string(kDefaultBs) + ",\n";
@@ -328,6 +438,10 @@ int Main(int argc, char** argv) {
   json += buf;
   std::snprintf(buf, sizeof(buf),
                 "  \"dense_gemm_parallel_speedup_4t\": %.3f,\n", par_speedup);
+  json += buf;
+  std::snprintf(buf, sizeof(buf),
+                "  \"sparse_gemm_parallel_speedup_4t\": %.3f,\n",
+                sparse_par_speedup);
   json += buf;
   json += "  \"entries\": [\n";
   for (size_t i = 0; i < entries.size(); ++i) {

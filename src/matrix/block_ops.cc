@@ -117,14 +117,14 @@ Status MultiplyAccumulate(const Block& a, const Block& b, bool trans_a,
   }
   if (a.IsSparse() && b.IsDense()) {
     return GemmSparseDense(a.sparse(), b.dense(), trans_a, trans_b, acc,
-                           scratch, stats);
+                           scratch, stats, par);
   }
   if (a.IsDense() && b.IsSparse()) {
     return GemmDenseSparse(a.dense(), b.sparse(), trans_a, trans_b, acc,
-                           scratch, stats);
+                           scratch, stats, par);
   }
   return GemmSparseSparse(a.sparse(), b.sparse(), trans_a, trans_b, acc,
-                          scratch, stats, b_csr);
+                          scratch, stats, par, b_csr);
 }
 
 Result<CscBlock> MultiplySparse(const CscBlock& a, const CscBlock& b) {

@@ -33,9 +33,10 @@ Result<Block> Multiply(const Block& a, const Block& b);
 
 /// C = op(A)·op(B) as a dense block; effective shapes must agree.
 /// `scratch`/`stats` may be null (local scratch, no accounting). `par`
-/// enables intra-kernel tile parallelism for the dense path and `b_csr`
-/// supplies a precomputed CSR form of a sparse B for the Aᵀ·B sparse
-/// path — see matrix/kernels.h for both.
+/// enables intra-kernel parallelism for every representation pairing
+/// (dense tiles, sparse output chunks) and `b_csr` supplies a precomputed
+/// CSR form of a sparse B for the Aᵀ·B sparse path — see matrix/kernels.h
+/// for both.
 Result<Block> Multiply(const Block& a, const Block& b, bool trans_a,
                        bool trans_b, GemmScratch* scratch = nullptr,
                        GemmStats* stats = nullptr,

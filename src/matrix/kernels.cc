@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
+#include <vector>
 
 #include "common/logging.h"
 #include "common/parallel_for.h"
@@ -140,12 +142,35 @@ int64_t EffCols(const DenseBlock& x, bool trans) {
   return trans ? x.rows() : x.cols();
 }
 
+/// Runs `task(t)` for every t in [0, n) via ParallelFor on `par`'s pool,
+/// each call through `par.wrap_task` when one is set, and counts the tasks
+/// that ran into `stats`. Returns false when the abandon flag stopped the
+/// loop early: the accumulator then holds a partial sum, which the engine
+/// discards, reporting the governor's precise cancel reason over the
+/// kernel's generic one.
+bool FanOut(const GemmParallel& par, int64_t n, GemmStats* stats,
+            const std::function<void(int64_t)>& task) {
+  std::function<void(int64_t)> run = task;
+  if (par.wrap_task) {
+    run = [&par, &task](int64_t t) {
+      par.wrap_task([&task, t] { task(t); });
+    };
+  }
+  const int64_t ran = ParallelFor(par.pool, n, par.max_workers - 1,
+                                  par.abandon, std::move(run));
+  if (stats != nullptr) stats->tasks += static_cast<double>(ran);
+  return ran == n;
+}
+
 /// Stages the dense transpose of `x` into scratch and returns the staged
 /// block (used by the mixed dense/sparse flagged kernels, where packing
-/// cannot absorb the transpose). Counted as packing time.
+/// cannot absorb the transpose). Counted as packing time. With `par` set,
+/// the 32-column tiles fan out over its pool: each writes its own rows of
+/// the staged block, and a copy is exact in any order.
 Result<const DenseBlock*> StageTranspose(const DenseBlock& x,
                                          GemmScratch* scratch,
-                                         GemmStats* stats) {
+                                         GemmStats* stats,
+                                         const GemmParallel* par = nullptr) {
   Timer timer;
   DMAC_ASSIGN_OR_RETURN(DenseBlock * staged,
                         scratch->Staging(x.cols(), x.rows()));
@@ -153,7 +178,8 @@ Result<const DenseBlock*> StageTranspose(const DenseBlock& x,
   const int64_t cols = x.cols();
   // Tiled transpose to keep both sides cache-resident.
   constexpr int64_t kTile = 32;
-  for (int64_t c0 = 0; c0 < cols; c0 += kTile) {
+  const auto tile = [&](int64_t t) {
+    const int64_t c0 = t * kTile;
     const int64_t c1 = std::min(cols, c0 + kTile);
     for (int64_t r0 = 0; r0 < rows; r0 += kTile) {
       const int64_t r1 = std::min(rows, r0 + kTile);
@@ -164,6 +190,12 @@ Result<const DenseBlock*> StageTranspose(const DenseBlock& x,
         }
       }
     }
+  };
+  const int64_t tiles = (cols + kTile - 1) / kTile;
+  if (par == nullptr) {
+    for (int64_t t = 0; t < tiles; ++t) tile(t);
+  } else if (!FanOut(*par, tiles, stats, tile)) {
+    return Status::Cancelled("transpose staging abandoned at tile boundary");
   }
   if (stats != nullptr) stats->pack_seconds += timer.ElapsedSeconds();
   return staged;
@@ -291,19 +323,7 @@ Status GemmDenseThreaded(const DenseBlock& a, const DenseBlock& b,
         }
       }
     };
-    std::function<void(int64_t)> run = tile;
-    if (par.wrap_task) {
-      run = [&par, &tile](int64_t t) {
-        par.wrap_task([&tile, t] { tile(t); });
-      };
-    }
-    const int64_t ran =
-        ParallelFor(par.pool, tiles, par.max_workers - 1, par.abandon, run);
-    if (stats != nullptr) stats->tasks += static_cast<double>(ran);
-    if (ran < tiles) {
-      // The abandon flag fired mid-product; the accumulator holds a
-      // partial sum. The engine discards it and reports the governor's
-      // precise cancel reason over this generic one.
+    if (!FanOut(par, tiles, stats, tile)) {
       return Status::Cancelled("dense GEMM abandoned at tile-task boundary");
     }
   }
@@ -331,12 +351,9 @@ Status GemmDense(const DenseBlock& a, const DenseBlock& b, bool trans_a,
   // Panels are sized to the actual blocking this call uses (capped at the
   // full cache-block panels) so small multiplies charge small buffers
   // against a governed budget; exhaustion propagates as a Status.
-  const auto round_up = [](int64_t v, int64_t unit) {
-    return (v + unit - 1) / unit * unit;
-  };
   const int64_t kc_max = std::min(k, kGemmKc);
-  const int64_t a_elems = round_up(std::min(m, kGemmMc), kGemmMr) * kc_max;
-  const int64_t b_elems = kc_max * round_up(std::min(n, kGemmNc), kGemmNr);
+  const int64_t a_elems = RoundUp(std::min(m, kGemmMc), kGemmMr) * kc_max;
+  const int64_t b_elems = kc_max * RoundUp(std::min(n, kGemmNc), kGemmNr);
   DMAC_ASSIGN_OR_RETURN(Scalar * pack_a, scratch->PanelA(a_elems));
   DMAC_ASSIGN_OR_RETURN(Scalar * pack_b, scratch->PanelB(b_elems));
   std::vector<char> b_live;
@@ -377,6 +394,152 @@ Status GemmDense(const DenseBlock& a, const DenseBlock& b, bool trans_a,
   return Status::Ok();
 }
 
+// ---- sparse chunking -----------------------------------------------------
+// A sparse kernel call owns an output slice of the accumulator. The serial
+// path owns all of it; the threaded path cuts it along one axis into
+// chunks that each write a disjoint set of output elements. Inside a chunk
+// every element receives its terms in the serial loop's order, so the
+// threaded result is bit-identical to the serial one.
+
+namespace {
+
+/// Output rows [i0, i1) × columns [j0, j1) one kernel call computes.
+struct OutSlice {
+  int64_t i0, i1;
+  int64_t j0, j1;
+};
+
+enum class SplitAxis { kCols, kRows };
+
+/// Chunks per participating worker. The weights below only estimate the
+/// work, so a few chunks per worker let ParallelFor's dynamic claim even
+/// out what they miss.
+constexpr int64_t kSparseChunksPerWorker = 4;
+
+/// Row chunks start on multiples of one 64-byte cache line of floats, so
+/// chunks do not share accumulator lines (false sharing). Outputs under two
+/// lines tall do not split by rows.
+constexpr int64_t kRowChunkAlign = 64 / sizeof(Scalar);
+
+/// The contiguous-axpy kernels (DnSpPlain, DnSpTransB) stream one dense
+/// column per stored entry at vector speed: BENCH_kernels.json has
+/// dense_sparse nn at ~7× the flop rate of sparse_dense nn at block 256.
+/// Their fan-out gate counts at most this many rows of that column, so
+/// they fan out only once a call takes about as long as a scalar sparse
+/// kernel at the threshold.
+constexpr int64_t kAxpyGateRows = 16;
+
+/// Prefix work over output indices: every index costs one unit (loop
+/// overhead), plus the nnz of the matching column of `csc` when set —
+/// the power-law hub columns that make column counts a poor balance.
+struct Weight {
+  const CscBlock* csc = nullptr;
+  int64_t operator()(int64_t i) const {
+    return i + (csc != nullptr ? csc->ColStart(i) : 0);
+  }
+};
+
+/// Boundaries 0 = b_0 < b_1 < ... < b_c = extent cutting [0, extent) into
+/// at most `chunks` non-empty ranges of about equal `weight`, with every
+/// inner boundary a multiple of `align`. Each boundary is the index whose
+/// prefix lies nearest its target, so an index heavier than one chunk's
+/// share closes a range on its own, and two columns of unequal weight
+/// still split.
+std::vector<int64_t> SplitByWeight(int64_t extent, int64_t chunks,
+                                   int64_t align, Weight weight) {
+  std::vector<int64_t> bounds = {0};
+  const double total = static_cast<double>(weight(extent));
+  for (int64_t c = 1; c < chunks; ++c) {
+    const double target = total * static_cast<double>(c) /
+                           static_cast<double>(chunks);
+    // First index whose prefix reaches the target.
+    int64_t lo = bounds.back();
+    int64_t hi = extent;
+    while (lo < hi) {
+      const int64_t mid = lo + (hi - lo) / 2;
+      if (static_cast<double>(weight(mid)) < target) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    if (lo > bounds.back() + 1 &&
+        target - static_cast<double>(weight(lo - 1)) <
+            static_cast<double>(weight(lo)) - target) {
+      --lo;
+    }
+    lo = RoundUp(lo, align);
+    if (lo > bounds.back() && lo < extent) bounds.push_back(lo);
+  }
+  bounds.push_back(extent);
+  return bounds;
+}
+
+/// True when a sparse call of `work` may fan out over `par`.
+bool AboveSparseCutoff(const GemmParallel* par, double work) {
+  return par != nullptr && par->Enabled() &&
+         work >= static_cast<double>(kSparseParallelMinWork);
+}
+
+/// True when a sparse call of `work` fans out by columns over an output
+/// `cols` wide; the A·Bᵀ paths build CSC of Bᵀ only then.
+bool SplitsCols(const GemmParallel* par, double work, int64_t cols) {
+  return cols >= 2 && AboveSparseCutoff(par, work);
+}
+
+/// Axis for the gather kernels (the TransA cases), which compute each
+/// output element as one dot product and so split either axis at no extra
+/// cost: column chunks when the output has a column for every worker,
+/// row chunks for narrower (SpMV-shaped) outputs. The scatter kernels
+/// split columns only: a row chunk of theirs re-walks the whole sparse
+/// operand, and measured 0.1–0.7× serial on column-vector outputs
+/// (docs/kernels.md).
+SplitAxis ColsUnlessNarrow(const GemmParallel* par, int64_t cols) {
+  return par == nullptr || cols >= par->max_workers ? SplitAxis::kCols
+                                                    : SplitAxis::kRows;
+}
+
+/// Runs `kernel(slice)` once over the whole accumulator when `par` is off
+/// or `work` is below its sparse threshold — a plain call, no closure or
+/// allocation — else over nnz-balanced `axis` chunks on the pool. An
+/// output too narrow along `axis` for two chunks (a single row, say)
+/// cannot split and also runs serially.
+template <typename Kernel>
+Status RunSparse(const GemmParallel* par, double work, DenseBlock* acc,
+                 SplitAxis axis, Weight weight, GemmStats* stats,
+                 const Kernel& kernel) {
+  const OutSlice whole{0, acc->rows(), 0, acc->cols()};
+  if (!AboveSparseCutoff(par, work)) {
+    kernel(whole);
+    return Status::Ok();
+  }
+  const bool by_cols = axis == SplitAxis::kCols;
+  const int64_t extent = by_cols ? acc->cols() : acc->rows();
+  const int64_t align = by_cols ? 1 : kRowChunkAlign;
+  const int64_t chunks = std::min<int64_t>(
+      RoundUp(extent, align) / align, par->max_workers * kSparseChunksPerWorker);
+  if (chunks < 2) {
+    kernel(whole);
+    return Status::Ok();
+  }
+  const std::vector<int64_t> bounds =
+      SplitByWeight(extent, chunks, align, weight);
+  const auto chunk = [&](int64_t c) {
+    OutSlice s = whole;
+    int64_t& begin = by_cols ? s.j0 : s.i0;
+    int64_t& end = by_cols ? s.j1 : s.i1;
+    begin = bounds[static_cast<size_t>(c)];
+    end = bounds[static_cast<size_t>(c) + 1];
+    kernel(s);
+  };
+  if (!FanOut(*par, static_cast<int64_t>(bounds.size()) - 1, stats, chunk)) {
+    return Status::Cancelled("sparse multiply abandoned at chunk boundary");
+  }
+  return Status::Ok();
+}
+
+}  // namespace
+
 // ---- sparse x dense ------------------------------------------------------
 
 namespace {
@@ -385,12 +548,12 @@ namespace {
 /// by B(l, j) — the seed formulation with the zero test hoisted to the
 /// sparse structure (no per-element branch; B's zeros cost one madd each
 /// inside the axpy, A's zeros are absent from the structure).
-void SpDnPlain(const CscBlock& a, const DenseBlock& b, DenseBlock* acc) {
+void SpDnPlain(const CscBlock& a, const DenseBlock& b, DenseBlock* acc,
+               OutSlice s) {
   const int64_t k = a.cols();
-  const int64_t n = b.cols();
-  const auto& rows = a.row_idx();
-  const auto& vals = a.values();
-  for (int64_t j = 0; j < n; ++j) {
+  const int32_t* rows = a.row_idx().data();
+  const Scalar* vals = a.values().data();
+  for (int64_t j = s.j0; j < s.j1; ++j) {
     Scalar* c_col = acc->col(j);
     const Scalar* b_col = b.col(j);
     for (int64_t l = 0; l < k; ++l) {
@@ -407,15 +570,14 @@ void SpDnPlain(const CscBlock& a, const DenseBlock& b, DenseBlock* acc) {
 /// acc += Aᵀ · B with A stored CSC: the stored arrays read as CSR of the
 /// logical A, so C(i, j) is a gather dot product of stored column i against
 /// B's column j. No sparse transpose is built.
-void SpDnTransA(const CscBlock& a, const DenseBlock& b, DenseBlock* acc) {
-  const int64_t m = a.cols();  // effective rows of Aᵀ
-  const int64_t n = b.cols();
-  const auto& rows = a.row_idx();
-  const auto& vals = a.values();
-  for (int64_t j = 0; j < n; ++j) {
+void SpDnTransA(const CscBlock& a, const DenseBlock& b, DenseBlock* acc,
+                OutSlice s) {
+  const int32_t* rows = a.row_idx().data();
+  const Scalar* vals = a.values().data();
+  for (int64_t j = s.j0; j < s.j1; ++j) {
     Scalar* c_col = acc->col(j);
     const Scalar* b_col = b.col(j);
-    for (int64_t i = 0; i < m; ++i) {
+    for (int64_t i = s.i0; i < s.i1; ++i) {
       const int32_t end = a.ColEnd(i);
       Scalar sum = 0;
       for (int32_t p = a.ColStart(i); p < end; ++p) {
@@ -430,22 +592,28 @@ void SpDnTransA(const CscBlock& a, const DenseBlock& b, DenseBlock* acc) {
 
 Status GemmSparseDense(const CscBlock& a, const DenseBlock& b, bool trans_a,
                        bool trans_b, DenseBlock* acc, GemmScratch* scratch,
-                       GemmStats* stats) {
+                       GemmStats* stats, const GemmParallel* par) {
   GemmScratch local;
   if (scratch == nullptr) scratch = &local;
+  const int64_t n = trans_b ? b.rows() : b.cols();
+  const double work = 2.0 * static_cast<double>(a.nnz()) * n;
+  if (stats != nullptr) stats->flops += work;
   const DenseBlock* beff = &b;
   if (trans_b) {
-    DMAC_ASSIGN_OR_RETURN(beff, StageTranspose(b, scratch, stats));
-  }
-  if (stats != nullptr) {
-    stats->flops += 2.0 * static_cast<double>(a.nnz()) * beff->cols();
+    DMAC_ASSIGN_OR_RETURN(
+        beff, StageTranspose(b, scratch, stats,
+                             AboveSparseCutoff(par, work) ? par : nullptr));
   }
   if (trans_a) {
-    SpDnTransA(a, *beff, acc);
-  } else {
-    SpDnPlain(a, *beff, acc);
+    // Every output column gathers over all of A; output row i gathers over
+    // A's stored column i.
+    const SplitAxis axis = ColsUnlessNarrow(par, n);
+    const Weight weight = axis == SplitAxis::kRows ? Weight{&a} : Weight{};
+    return RunSparse(par, work, acc, axis, weight, stats,
+                     [&](OutSlice s) { SpDnTransA(a, *beff, acc, s); });
   }
-  return Status::Ok();
+  return RunSparse(par, work, acc, SplitAxis::kCols, Weight{}, stats,
+                   [&](OutSlice s) { SpDnPlain(a, *beff, acc, s); });
 }
 
 // ---- dense x sparse ------------------------------------------------------
@@ -454,12 +622,25 @@ namespace {
 
 /// acc += A_dense · B_csc: contiguous axpy of A's column l per stored
 /// non-zero B(l, j).
-void DnSpPlain(const DenseBlock& a, const CscBlock& b, DenseBlock* acc) {
+void DnSpPlain(const DenseBlock& a, const CscBlock& b, DenseBlock* acc,
+               OutSlice s) {
   const int64_t m = a.rows();
-  const int64_t n = b.cols();
-  const auto& rows = b.row_idx();
-  const auto& vals = b.values();
-  for (int64_t j = 0; j < n; ++j) {
+  const int32_t* rows = b.row_idx().data();
+  const Scalar* vals = b.values().data();
+  if (m == 1) {
+    // One output row (PageRank's rank·link): each axpy is a single madd,
+    // so keep the running sum in a register. Same terms, same order.
+    const Scalar* a_row = a.data();
+    for (int64_t j = s.j0; j < s.j1; ++j) {
+      Scalar c = acc->col(j)[0];
+      for (int32_t p = b.ColStart(j); p < b.ColEnd(j); ++p) {
+        c += a_row[rows[p]] * vals[p];
+      }
+      acc->col(j)[0] = c;
+    }
+    return;
+  }
+  for (int64_t j = s.j0; j < s.j1; ++j) {
     Scalar* c_col = acc->col(j);
     for (int32_t p = b.ColStart(j); p < b.ColEnd(j); ++p) {
       const Scalar* a_col = a.col(rows[p]);
@@ -471,17 +652,16 @@ void DnSpPlain(const DenseBlock& a, const CscBlock& b, DenseBlock* acc) {
 
 /// acc += Aᵀ · B_csc with A stored dense k x m: C(i, j) gathers stored
 /// column i of A at B's column-j row indices.
-void DnSpTransA(const DenseBlock& a, const CscBlock& b, DenseBlock* acc) {
-  const int64_t m = a.cols();  // effective rows of Aᵀ
-  const int64_t n = b.cols();
-  const auto& rows = b.row_idx();
-  const auto& vals = b.values();
-  for (int64_t j = 0; j < n; ++j) {
+void DnSpTransA(const DenseBlock& a, const CscBlock& b, DenseBlock* acc,
+                OutSlice s) {
+  const int32_t* rows = b.row_idx().data();
+  const Scalar* vals = b.values().data();
+  for (int64_t j = s.j0; j < s.j1; ++j) {
     Scalar* c_col = acc->col(j);
     const int32_t start = b.ColStart(j);
     const int32_t end = b.ColEnd(j);
     if (start == end) continue;
-    for (int64_t i = 0; i < m; ++i) {
+    for (int64_t i = s.i0; i < s.i1; ++i) {
       const Scalar* a_col = a.col(i);
       Scalar sum = 0;
       for (int32_t p = start; p < end; ++p) {
@@ -495,12 +675,13 @@ void DnSpTransA(const DenseBlock& a, const CscBlock& b, DenseBlock* acc) {
 /// acc += A · Bᵀ with B stored CSC n x k: stored column l of B is row l of
 /// the logical Bᵀ... i.e. each stored entry (j, t) in column l contributes
 /// t · A(:, l) to C(:, j) — a contiguous axpy per non-zero, no transpose
-/// copy.
+/// copy. Serial only: it scatters across output columns (see
+/// GemmDenseSparse).
 void DnSpTransB(const DenseBlock& a, const CscBlock& b, DenseBlock* acc) {
   const int64_t m = a.rows();
   const int64_t k = b.cols();  // stored columns = effective inner dim
-  const auto& rows = b.row_idx();
-  const auto& vals = b.values();
+  const int32_t* rows = b.row_idx().data();
+  const Scalar* vals = b.values().data();
   for (int64_t l = 0; l < k; ++l) {
     const Scalar* a_col = a.col(l);
     for (int32_t p = b.ColStart(l); p < b.ColEnd(l); ++p) {
@@ -511,42 +692,61 @@ void DnSpTransB(const DenseBlock& a, const CscBlock& b, DenseBlock* acc) {
   }
 }
 
+/// CSC of bᵀ, which is also CSR of b: one O(nnz) pass, counted as pack
+/// time. Each column of the copy lists its entries in ascending inner
+/// index, the order the A·Bᵀ scatter kernels visit them, so the plain
+/// kernels over the copy add the same terms in the same order.
+CscBlock TransposedCsc(const CscBlock& b, GemmStats* stats) {
+  Timer timer;
+  CscBlock t = b.Transposed();
+  if (stats != nullptr) stats->pack_seconds += timer.ElapsedSeconds();
+  return t;
+}
+
 }  // namespace
 
 Status GemmDenseSparse(const DenseBlock& a, const CscBlock& b, bool trans_a,
                        bool trans_b, DenseBlock* acc, GemmScratch* scratch,
-                       GemmStats* stats) {
+                       GemmStats* stats, const GemmParallel* par) {
   GemmScratch local;
   if (scratch == nullptr) scratch = &local;
-  if (stats != nullptr) {
-    stats->flops +=
-        2.0 * static_cast<double>(b.nnz()) * (trans_a ? a.cols() : a.rows());
+  const int64_t m = trans_a ? a.cols() : a.rows();
+  const double work = 2.0 * static_cast<double>(b.nnz()) * m;
+  if (stats != nullptr) stats->flops += work;
+  const double axpy_work = 2.0 * static_cast<double>(b.nnz()) *
+                           std::min(m, kAxpyGateRows);
+  // Output column j costs m madds per stored entry of B's column j.
+  const auto plain = [&](const DenseBlock& lhs, const CscBlock& rhs) {
+    return RunSparse(par, axpy_work, acc, SplitAxis::kCols, Weight{&rhs},
+                     stats, [&](OutSlice s) { DnSpPlain(lhs, rhs, acc, s); });
+  };
+  if (!trans_b && trans_a && b.nnz() < a.rows()) {
+    // Aᵀ·B_csc with very sparse B: its total gather work is below one
+    // transpose pass over A, so keep the gather path.
+    const SplitAxis axis = ColsUnlessNarrow(par, acc->cols());
+    const Weight weight = axis == SplitAxis::kCols ? Weight{&b} : Weight{};
+    return RunSparse(par, work, acc, axis, weight, stats,
+                     [&](OutSlice s) { DnSpTransA(a, b, acc, s); });
   }
-  if (!trans_a && !trans_b) {
-    DnSpPlain(a, b, acc);
-  } else if (trans_a && !trans_b) {
-    // Aᵀ·B_csc: the gather dot strides A once per stored entry of B, so
-    // once B carries at least one entry per inner row it is cheaper to pay
-    // the one-pass dense transpose and run the contiguous axpy kernel
-    // (the ~7× dense_sparse `tn` cliff in BENCH_kernels.json). Very
-    // sparse B keeps the gather path: its total work is below one
-    // transpose pass over A.
-    if (b.nnz() >= a.rows()) {
-      DMAC_ASSIGN_OR_RETURN(const DenseBlock* staged,
-                            StageTranspose(a, scratch, stats));
-      DnSpPlain(*staged, b, acc);
-    } else {
-      DnSpTransA(a, b, acc);
-    }
-  } else if (!trans_a && trans_b) {
-    DnSpTransB(a, b, acc);
-  } else {
-    // Aᵀ·Bᵀ: stage Aᵀ once, then the TransB axpy kernel.
-    DMAC_ASSIGN_OR_RETURN(const DenseBlock* staged,
-                          StageTranspose(a, scratch, stats));
-    DnSpTransB(*staged, b, acc);
+  // Otherwise the gather dot strides A once per stored entry of B, so it is
+  // cheaper to pay the one-pass dense transpose and run the contiguous axpy
+  // kernel (the ~7× dense_sparse `tn` cliff in BENCH_kernels.json).
+  const DenseBlock* aeff = &a;
+  if (trans_a) {
+    DMAC_ASSIGN_OR_RETURN(
+        aeff, StageTranspose(a, scratch, stats,
+                             AboveSparseCutoff(par, axpy_work) ? par : nullptr));
   }
-  return Status::Ok();
+  if (!trans_b) return plain(*aeff, b);
+  // A·Bᵀ scatters each stored entry of B into a different output column,
+  // which no chunk can own. A call that fans out first turns B into CSC of
+  // Bᵀ and runs the plain kernel; row chunks would cost each chunk a full
+  // walk of B and a strided write per entry.
+  if (!SplitsCols(par, axpy_work, acc->cols())) {
+    DnSpTransB(*aeff, b, acc);
+    return Status::Ok();
+  }
+  return plain(*aeff, TransposedCsc(b, stats));
 }
 
 // ---- sparse x sparse -----------------------------------------------------
@@ -554,13 +754,13 @@ Status GemmDenseSparse(const DenseBlock& a, const CscBlock& b, bool trans_a,
 namespace {
 
 /// acc += A_csc · B_csc, untransposed (seed scatter formulation).
-void SpSpPlain(const CscBlock& a, const CscBlock& b, DenseBlock* acc) {
-  const int64_t n = b.cols();
-  const auto& a_rows = a.row_idx();
-  const auto& a_vals = a.values();
-  const auto& b_rows = b.row_idx();
-  const auto& b_vals = b.values();
-  for (int64_t j = 0; j < n; ++j) {
+void SpSpPlain(const CscBlock& a, const CscBlock& b, DenseBlock* acc,
+               OutSlice s) {
+  const int32_t* a_rows = a.row_idx().data();
+  const Scalar* a_vals = a.values().data();
+  const int32_t* b_rows = b.row_idx().data();
+  const Scalar* b_vals = b.values().data();
+  for (int64_t j = s.j0; j < s.j1; ++j) {
     Scalar* c_col = acc->col(j);
     for (int32_t p = b.ColStart(j); p < b.ColEnd(j); ++p) {
       const int64_t l = b_rows[p];
@@ -573,13 +773,14 @@ void SpSpPlain(const CscBlock& a, const CscBlock& b, DenseBlock* acc) {
 }
 
 /// acc += A · Bᵀ, both CSC: stored entry (j, t) in B's column l pairs with
-/// A's column l — scatter a_col(l) · t into C's column j.
+/// A's column l — scatter a_col(l) · t into C's column j. Serial only, like
+/// DnSpTransB.
 void SpSpTransB(const CscBlock& a, const CscBlock& b, DenseBlock* acc) {
   const int64_t k = b.cols();  // stored columns = inner dim
-  const auto& a_rows = a.row_idx();
-  const auto& a_vals = a.values();
-  const auto& b_rows = b.row_idx();
-  const auto& b_vals = b.values();
+  const int32_t* a_rows = a.row_idx().data();
+  const Scalar* a_vals = a.values().data();
+  const int32_t* b_rows = b.row_idx().data();
+  const Scalar* b_vals = b.values().data();
   for (int64_t l = 0; l < k; ++l) {
     const int32_t astart = a.ColStart(l);
     const int32_t aend = a.ColEnd(l);
@@ -599,7 +800,10 @@ double SpSpFlops(const CscBlock& a, const CscBlock& b, bool trans_a,
   // Exact madd count: Σ over inner index l of nnz(a slice l)·nnz(b slice l)
   // would need per-slice counts; approximate with the scatter work bound
   // actually performed by each formulation.
-  if (!trans_a && trans_b) return 2.0 * b.nnz() * (a.nnz() / std::max<int64_t>(a.cols(), 1));
+  if (!trans_a && trans_b) {
+    return 2.0 * static_cast<double>(b.nnz()) *
+           (static_cast<double>(a.nnz()) / std::max<int64_t>(a.cols(), 1));
+  }
   return 2.0 * static_cast<double>(a.nnz()) *
          (static_cast<double>(b.nnz()) /
           std::max<int64_t>(trans_b ? b.cols() : b.rows(), 1));
@@ -609,33 +813,42 @@ double SpSpFlops(const CscBlock& a, const CscBlock& b, bool trans_a,
 
 Status GemmSparseSparse(const CscBlock& a, const CscBlock& b, bool trans_a,
                         bool trans_b, DenseBlock* acc, GemmScratch* scratch,
-                        GemmStats* stats, const CscBlock* b_csr) {
+                        GemmStats* stats, const GemmParallel* par,
+                        const CscBlock* b_csr) {
   GemmScratch local;
   if (scratch == nullptr) scratch = &local;
-  if (stats != nullptr) stats->flops += SpSpFlops(a, b, trans_a, trans_b);
-  if (!trans_a && !trans_b) {
-    SpSpPlain(a, b, acc);
-  } else if (trans_a && !trans_b) {
-    // Aᵀ·B via Gustavson: A's stored arrays already read as CSR of Aᵀ;
-    // row-major access to B needs its CSR form — the one conversion the
-    // kernel layer ever materializes. A FormatCache-supplied `b_csr`
-    // skips it; otherwise convert inline and count it as pack time.
-    if (b_csr != nullptr) {
-      SpGemmGustavson(a, *b_csr, acc);
-    } else {
-      Timer timer;
-      const CscBlock converted = b.Transposed();
-      if (stats != nullptr) stats->pack_seconds += timer.ElapsedSeconds();
-      SpGemmGustavson(a, converted, acc);
+  const double work = SpSpFlops(a, b, trans_a, trans_b);
+  if (stats != nullptr) stats->flops += work;
+  if (!trans_a) {
+    const auto plain = [&](const CscBlock& rhs) {
+      return RunSparse(par, work, acc, SplitAxis::kCols, Weight{&rhs}, stats,
+                       [&](OutSlice s) { SpSpPlain(a, rhs, acc, s); });
+    };
+    if (!trans_b) return plain(b);
+    // A·Bᵀ fans out over CSC of Bᵀ, as in GemmDenseSparse.
+    if (!SplitsCols(par, work, acc->cols())) {
+      SpSpTransB(a, b, acc);
+      return Status::Ok();
     }
-  } else if (!trans_a && trans_b) {
-    SpSpTransB(a, b, acc);
-  } else {
-    // Aᵀ·Bᵀ is Gustavson for free: stored A is CSR of Aᵀ and stored B's
-    // column l is row l of the logical Bᵀ.
-    SpGemmGustavson(a, b, acc);
+    return plain(TransposedCsc(b, stats));
   }
-  return Status::Ok();
+  // Aᵀ·B and Aᵀ·Bᵀ run Gustavson over CSR views: A's stored arrays already
+  // read as CSR of Aᵀ (output row i is A's stored column i, which weighs
+  // the row chunks), and stored B's column l is row l of the logical Bᵀ.
+  // Gustavson writes each output row from one outer iteration, so it
+  // splits rows; a single output row cannot split and runs serially.
+  // Aᵀ·B needs CSR of B. A FormatCache-supplied `b_csr` skips the
+  // conversion; otherwise it runs inline.
+  CscBlock converted;
+  const CscBlock* b_rows = trans_b ? &b : b_csr;
+  if (b_rows == nullptr) {
+    converted = TransposedCsc(b, stats);
+    b_rows = &converted;
+  }
+  return RunSparse(par, work, acc, SplitAxis::kRows, Weight{&a}, stats,
+                   [&](OutSlice s) {
+                     SpGemmGustavson(a, *b_rows, acc, s.i0, s.i1);
+                   });
 }
 
 // ---- vectorized elementwise / reductions ---------------------------------

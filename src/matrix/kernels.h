@@ -52,12 +52,18 @@ inline constexpr int64_t kGemmNc = 1024;
 /// blocks (docs/performance.md).
 inline constexpr int64_t kGemmParallelMinFlops = 4'000'000;
 
+/// Sparse multiplies whose work (2·nnz·dense extent, the kernels' own flop
+/// count) falls below this always run the serial kernel directly. Derived
+/// from the threaded sparse rows of BENCH_kernels.json
+/// (docs/kernels.md#threaded-sparse-kernels).
+inline constexpr int64_t kSparseParallelMinWork = 262'144;
+
 /// Per-call kernel accounting, surfaced as engine.gemm_flops,
 /// engine.gemm.pack.seconds and engine.gemm.tasks (docs/observability.md).
 struct GemmStats {
   double flops = 0;         // 2*m*n*k per dense GEMM, 2 per sparse madd
   double pack_seconds = 0;  // wall time spent packing/staging/converting
-  double tasks = 0;         // parallel tile tasks run (0 on the serial path)
+  double tasks = 0;         // parallel tiles/chunks run (0 on the serial path)
 
   void Merge(const GemmStats& o) {
     flops += o.flops;
@@ -66,27 +72,29 @@ struct GemmStats {
   }
 };
 
-/// Intra-kernel parallelism context for the dense GEMM macro-kernel.
+/// Intra-kernel parallelism context for every multiply kernel.
 ///
 /// The dense kernel decomposes each Kc slice into independent
 /// (Mc-row-panel × column-chunk) tile tasks that all read the same packed
-/// operand panels and write disjoint accumulator tiles, then runs them via
+/// operand panels and write disjoint accumulator tiles. The sparse kernels
+/// split the accumulator into nnz-balanced column or row chunks, each
+/// owning a disjoint set of output elements. Both run their tasks via
 /// ParallelFor (common/parallel_for.h): the calling thread participates, so
-/// sharing `pool` with the engine's own block tasks cannot deadlock. The
-/// Kc accumulation loop stays serial, which keeps the threaded path
-/// bit-identical to the serial one.
+/// sharing `pool` with the engine's own block tasks cannot deadlock. Every
+/// output element sees its terms added in the serial order, which keeps
+/// the threaded paths bit-identical to the serial ones.
 struct GemmParallel {
-  /// Pool the tile tasks fan out over; null runs the serial kernel.
+  /// Pool the tasks fan out over; null runs the serial kernel.
   ThreadPool* pool = nullptr;
-  /// Cooperative cancel flag polled at every tile-task boundary (may be
-  /// null). Once it reads true the kernel stops claiming tiles and returns
+  /// Cooperative cancel flag polled at every task boundary (may be null).
+  /// Once it reads true the kernel stops claiming tasks and returns
   /// kCancelled.
   const std::atomic<bool>* abandon = nullptr;
-  /// Upper bound on concurrent tile workers *including* the calling
-  /// thread; values <= 1 run the serial kernel. The engine passes the pool
+  /// Upper bound on concurrent workers *including* the calling thread;
+  /// values <= 1 run the serial kernel. The engine passes the pool
   /// width + 1.
   int max_workers = 0;
-  /// Optional per-tile-task wrapper (must invoke `body` exactly once); the
+  /// Optional per-task wrapper (must invoke `body` exactly once); the
   /// engine installs one that records a "gemm-tile" trace span so the
   /// matrix layer stays free of an obs dependency. Called concurrently.
   std::function<void(const std::function<void()>&)> wrap_task;
@@ -157,9 +165,11 @@ class GemmScratch {
 // All kernels accumulate op(A)·op(B) into a dense accumulator whose shape
 // must match the *effective* (post-transpose) operand shapes; dimension
 // checking lives in block_ops.cc. `scratch` may be null (a local heap
-// scratch is used); `stats` may be null (no accounting). The only failure
-// mode is scratch acquisition (kResourceExhausted under a governed memory
-// budget).
+// scratch is used); `stats` may be null (no accounting); `par` may be null
+// (serial). The failure modes are scratch acquisition (kResourceExhausted
+// under a governed memory budget) and a fired `par->abandon` flag
+// (kCancelled, possibly mid-product: the accumulator then holds a partial
+// sum the caller must discard).
 
 /// acc += op(A)·op(B) over dense blocks: packed panels + micro-kernel. The
 /// packing stage absorbs the transposes, so all four flag combinations run
@@ -175,12 +185,26 @@ class GemmScratch {
                  bool trans_b, DenseBlock* acc, GemmScratch* scratch,
                  GemmStats* stats, const GemmParallel* par = nullptr);
 
+// The sparse kernels fan out over `par` when their work (2·nnz·dense
+// extent, counting at most 16 rows of it for the contiguous dense·sparse
+// axpys) reaches kSparseParallelMinWork: the accumulator is cut into
+// chunks that each own a disjoint set of output elements — column chunks
+// balanced by the CSC column pointers, or row chunks for the Gustavson
+// path and for the per-element gather kernels (the TransA cases) when the
+// output is narrower than the worker count — and every chunk adds its
+// terms in the serial order, so the threaded result is bit-identical to
+// the serial one. A·Bᵀ with sparse B first builds CSC of Bᵀ (pack time) so
+// chunks can own output columns. An output that offers the chosen axis no
+// second chunk (one column for the column-split kernels, one 16-row line
+// for the row-split ones) runs serially
+// (docs/kernels.md#threaded-sparse-kernels).
+
 /// acc += op(A_csc)·op(B_dense). TransA reinterprets the CSC arrays as CSR
 /// of the logical A (a per-output-element gather dot product); TransB
 /// stages Bᵀ once through the scratch.
 [[nodiscard]] Status GemmSparseDense(const CscBlock& a, const DenseBlock& b, bool trans_a,
                        bool trans_b, DenseBlock* acc, GemmScratch* scratch,
-                       GemmStats* stats);
+                       GemmStats* stats, const GemmParallel* par = nullptr);
 
 /// acc += op(A_dense)·op(B_csc). TransB walks B's stored columns as the
 /// logical B's rows (contiguous axpy per stored entry); TransA stages Aᵀ
@@ -189,7 +213,7 @@ class GemmScratch {
 /// per-element gather dot for very sparse B.
 [[nodiscard]] Status GemmDenseSparse(const DenseBlock& a, const CscBlock& b, bool trans_a,
                        bool trans_b, DenseBlock* acc, GemmScratch* scratch,
-                       GemmStats* stats);
+                       GemmStats* stats, const GemmParallel* par = nullptr);
 
 /// acc += op(A_csc)·op(B_csc) with a dense accumulator. The transposed
 /// cases run Gustavson row-major SpGEMM over CSR views (matrix/spgemm.h):
@@ -200,7 +224,8 @@ class GemmScratch {
 /// counted as pack time). `b_csr` is ignored by the other flag cases.
 [[nodiscard]] Status GemmSparseSparse(const CscBlock& a, const CscBlock& b, bool trans_a,
                         bool trans_b, DenseBlock* acc, GemmScratch* scratch,
-                        GemmStats* stats, const CscBlock* b_csr = nullptr);
+                        GemmStats* stats, const GemmParallel* par = nullptr,
+                        const CscBlock* b_csr = nullptr);
 
 // ---- vectorized elementwise / reduction primitives -----------------------
 // Plain loops with compiler-friendly shapes (contiguous, fixed-stride,

@@ -5,13 +5,12 @@
 namespace dmac {
 
 void SpGemmGustavson(const CscBlock& a_rows, const CscBlock& b_rows,
-                     DenseBlock* acc) {
-  const int64_t m = a_rows.cols();  // logical output rows
+                     DenseBlock* acc, int64_t row_begin, int64_t row_end) {
   const auto& a_idx = a_rows.row_idx();
   const auto& a_vals = a_rows.values();
   const auto& b_idx = b_rows.row_idx();
   const auto& b_vals = b_rows.values();
-  for (int64_t i = 0; i < m; ++i) {
+  for (int64_t i = row_begin; i < row_end; ++i) {
     const int32_t aend = a_rows.ColEnd(i);
     for (int32_t q = a_rows.ColStart(i); q < aend; ++q) {
       const int64_t l = a_idx[q];

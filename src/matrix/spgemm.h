@@ -32,7 +32,12 @@ namespace dmac {
 /// Shapes (of the logical product): acc is m×n with m = a_rows.cols(),
 /// n = b_rows.rows(); the inner dimension is a_rows.rows() =
 /// b_rows.cols(). Callers validate — this is a kernel, not an API.
+///
+/// Only output rows [row_begin, row_end) are computed. Each output row is
+/// produced by exactly one outer iteration, so disjoint row ranges write
+/// disjoint elements in the serial order: the threaded kernel layer runs
+/// them concurrently and stays bit-identical to one full-range call.
 void SpGemmGustavson(const CscBlock& a_rows, const CscBlock& b_rows,
-                     DenseBlock* acc);
+                     DenseBlock* acc, int64_t row_begin, int64_t row_end);
 
 }  // namespace dmac

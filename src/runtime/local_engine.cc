@@ -233,7 +233,7 @@ Status LocalEngine::MultiplyInPlace(const BlockGrid& out_grid,
                                     const MultiplyOptions& opts) {
   const bool trans_a = opts.trans_a;
   const bool trans_b = opts.trans_b;
-  // The batch's flagged dense products share one tile-parallelism context;
+  // The batch's block products share one intra-kernel parallelism context;
   // conversion caching applies when the plan marked B reused and a cache
   // is attached.
   const GemmParallel par = TileParallel();

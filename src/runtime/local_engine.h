@@ -100,9 +100,10 @@ class LocalEngine {
                         bool trans_b = false);
 
   /// Options form: flags plus the format-conversion cache hint. Large
-  /// dense products inside each block task additionally fan their GEMM
-  /// tile tasks out over the same pool (GemmParallel in matrix/kernels.h);
-  /// the caller-participating loop makes that nesting deadlock-free.
+  /// products inside each block task additionally fan their GEMM tiles
+  /// (dense) or output chunks (sparse) out over the same pool
+  /// (GemmParallel in matrix/kernels.h); the caller-participating loop
+  /// makes that nesting deadlock-free.
   Status MultiplyBlocks(const BlockGrid& out_grid,
                         const std::vector<MultiplyTask>& tasks,
                         const BlockFn& get_a, const BlockFn& get_b,
@@ -142,8 +143,8 @@ class LocalEngine {
                           const BlockFn& get_a, const BlockFn& get_b,
                           const SinkFn& sink, const MultiplyOptions& opts);
 
-  /// Intra-kernel parallelism context for this batch's dense GEMMs: the
-  /// shared pool, the cancel flag, and (when tracing) a per-tile span
+  /// Intra-kernel parallelism context for this batch's multiply kernels:
+  /// the shared pool, the cancel flag, and (when tracing) a per-task span
   /// wrapper. Valid for the duration of one Dispatch.
   GemmParallel TileParallel() const;
 
