@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
 #include "apps/runner.h"
 #include "data/synthetic.h"
@@ -148,6 +149,169 @@ TEST(CommAccountingTest, MeasuredBytesScaleWithWorkerCountForBroadcasts) {
   const double bytes2 = MustRun(p, bindings, 2).result.stats.broadcast_bytes;
   const double bytes6 = MustRun(p, bindings, 6).result.stats.broadcast_bytes;
   EXPECT_GT(bytes6, bytes2 * 2);
+}
+
+// ---- exact per-primitive byte counts -------------------------------------
+//
+// The cases below pin shuffle_bytes and shuffle_events exactly. Every input
+// is dense, so every block and every partial has a known size: an 8x8 block
+// is 4 * 64 = 256 bytes. Each case first asserts the plan shape its
+// arithmetic assumes, so a planner change fails loudly here instead of
+// silently re-deriving different numbers.
+
+constexpr double kBlockBytes = 4.0 * kBs * kBs;
+
+/// G = t(A) %*% A over a dense 64x32 A (8x4 blocks of 8x8): a CPMM whose
+/// k-range is A's eight block rows and whose output is a 4x4 block grid.
+Program GramProgram(bool with_sums) {
+  ProgramBuilder pb;
+  Mat a = pb.Load("A", {64, 32}, 1.0);
+  Mat g = pb.Var("G");
+  pb.Assign(g, a.t().mm(a));
+  if (with_sums) {
+    // Both sums of G: whichever scheme G lands in, one of the two sums runs
+    // across G's partitioned axis (the crossed aggregation).
+    Mat s = pb.Var("S");
+    pb.Assign(s, g.RowSums());
+    Mat cs = pb.Var("CS");
+    pb.Assign(cs, g.ColSums());
+    pb.Output(s);
+    pb.Output(cs);
+  } else {
+    pb.Output(g);
+  }
+  return pb.Build();
+}
+
+/// Kinds of the plan's communication-bearing steps, in step order.
+std::vector<StepKind> CommStepKinds(const Plan& plan) {
+  std::vector<StepKind> kinds;
+  for (const PlanStep& step : plan.steps) {
+    if (step.kind == StepKind::kLoad || step.kind == StepKind::kPartition ||
+        step.kind == StepKind::kBroadcast || step.output_comm) {
+      kinds.push_back(step.kind);
+    }
+  }
+  return kinds;
+}
+
+int CountSteps(const Plan& plan, MultAlgo algo, bool aggregate) {
+  int n = 0;
+  for (const PlanStep& step : plan.steps) {
+    const bool is_aggregate = step.op_kind == OpKind::kRowSums ||
+                              step.op_kind == OpKind::kColSums;
+    if (aggregate ? (is_aggregate && step.output_comm)
+                  : step.mult_algo == algo) {
+      ++n;
+    }
+  }
+  return n;
+}
+
+RunConfig ExactConfig(int workers) {
+  RunConfig config;
+  config.block_size = kBs;
+  config.num_workers = workers;
+  return config;
+}
+
+TEST(CommAccountingTest, CpmmShufflesEveryPartialNotOwnedBySender) {
+  // 4 workers split A's 8 block rows 2 apiece; each forms a dense partial
+  // for all 16 output blocks and keeps the 4 it owns: 4 * 12 partials move.
+  const Program p = GramProgram(/*with_sums=*/false);
+  const RunConfig config = ExactConfig(4);
+  auto plan = PlanProgram(p, config);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  ASSERT_EQ(CommStepKinds(*plan),
+            (std::vector<StepKind>{StepKind::kLoad, StepKind::kCompute}))
+      << plan->ToString();
+  ASSERT_EQ(CountSteps(*plan, MultAlgo::kCPMM, false), 1) << plan->ToString();
+
+  LocalMatrix adata = SyntheticDense(64, 32, kBs, 1);
+  Bindings bindings{{"A", &adata}};
+  RunOutcome run = MustRun(p, bindings, 4);
+  const ExecStats& stats = run.result.stats;
+  EXPECT_DOUBLE_EQ(stats.shuffle_bytes,
+                   static_cast<double>(TotalBytes(adata)) +
+                       4 * 12 * kBlockBytes);
+  EXPECT_EQ(stats.shuffle_events, 2);  // the load and the CPMM shuffle
+  EXPECT_DOUBLE_EQ(stats.broadcast_bytes, 0.0);
+  EXPECT_EQ(stats.broadcast_events, 0);
+}
+
+TEST(CommAccountingTest, CrossedRowSumsShufflesPartialVectors) {
+  // On top of the CPMM above, the crossed sum has every worker holding one
+  // of G's 4 block columns (or rows) and so a dense 8-value partial for all
+  // 4 output blocks. Whichever way the 4x1 output grid is split, 12 of the
+  // 16 partials leave their sender: 12 * 32 bytes in one more round.
+  const Program p = GramProgram(/*with_sums=*/true);
+  const RunConfig config = ExactConfig(4);
+  auto plan = PlanProgram(p, config);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  ASSERT_EQ(CommStepKinds(*plan),
+            (std::vector<StepKind>{StepKind::kLoad, StepKind::kCompute,
+                                   StepKind::kCompute}))
+      << plan->ToString();
+  ASSERT_EQ(CountSteps(*plan, MultAlgo::kCPMM, false), 1) << plan->ToString();
+  ASSERT_EQ(CountSteps(*plan, MultAlgo::kNone, true), 1) << plan->ToString();
+
+  LocalMatrix adata = SyntheticDense(64, 32, kBs, 1);
+  Bindings bindings{{"A", &adata}};
+  RunOutcome run = MustRun(p, bindings, 4);
+  const ExecStats& stats = run.result.stats;
+  const double partial_vector_bytes = 4.0 * kBs;
+  EXPECT_DOUBLE_EQ(stats.shuffle_bytes,
+                   static_cast<double>(TotalBytes(adata)) +
+                       4 * 12 * kBlockBytes + 12 * partial_vector_bytes);
+  EXPECT_EQ(stats.shuffle_events, 3);
+  EXPECT_DOUBLE_EQ(stats.broadcast_bytes, 0.0);
+}
+
+TEST(CommAccountingTest, ReduceChargesOneDoublePerWorkerAndNoRound) {
+  const int workers = 4;
+  ProgramBuilder pb;
+  Mat a = pb.Load("A", {32, 32}, 1.0);
+  Scl total = pb.ScalarVar("total", 0.0);
+  pb.Assign(total, a.Sum());
+  pb.OutputScalar(total);
+  LocalMatrix adata = SyntheticDense(32, 32, kBs, 1);
+  Bindings bindings{{"A", &adata}};
+  RunOutcome run = MustRun(pb.Build(), bindings, workers);
+  const ExecStats& stats = run.result.stats;
+  EXPECT_DOUBLE_EQ(stats.shuffle_bytes,
+                   static_cast<double>(TotalBytes(adata)) + 8.0 * workers);
+  EXPECT_EQ(stats.shuffle_events, 1);  // the load; the reduce adds no round
+  EXPECT_DOUBLE_EQ(stats.broadcast_bytes, 0.0);
+  EXPECT_EQ(stats.broadcast_events, 0);
+}
+
+TEST(CommAccountingTest, TransfersBetweenCoHostedSlotsAreFree) {
+  // Worker 1 dies before the load, so survivor 2 hosts logical slot 1 for
+  // the whole run. The block layout stays keyed by slot; only the bytes
+  // follow the hosts. Of the CPMM's 48 moving partials, the 4 that slot 1
+  // sends to slot 2 and the 4 that slot 2 sends to slot 1 stay on one host.
+  const Program p = GramProgram(/*with_sums=*/false);
+  RunConfig config = ExactConfig(4);
+  auto plan = PlanProgram(p, config);
+  ASSERT_TRUE(plan.ok()) << plan.status();
+  ASSERT_EQ(plan->steps.front().kind, StepKind::kLoad);
+  ASSERT_EQ(CountSteps(*plan, MultAlgo::kCPMM, false), 1) << plan->ToString();
+  config.fault.enabled = true;
+  config.fault.death_step = plan->steps.front().id;
+  config.fault.death_worker = 1;
+
+  LocalMatrix adata = SyntheticDense(64, 32, kBs, 1);
+  Bindings bindings{{"A", &adata}};
+  auto run = RunProgram(p, bindings, config);
+  ASSERT_TRUE(run.ok()) << run.status();
+  const ExecStats& stats = run->result.stats;
+  ASSERT_EQ(stats.workers_dead, 1);
+  EXPECT_DOUBLE_EQ(stats.shuffle_bytes,
+                   static_cast<double>(TotalBytes(adata)) +
+                       (4 * 12 - 8) * kBlockBytes);
+  EXPECT_EQ(stats.shuffle_events, 2);
+  EXPECT_DOUBLE_EQ(stats.recovery_bytes, 0.0);  // nothing was lost
+  EXPECT_EQ(stats.recovery_events, 0);
 }
 
 }  // namespace
