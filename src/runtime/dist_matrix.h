@@ -119,7 +119,11 @@ class DistMatrix {
     return Get(OwnerOf(bi, bj), bi, bj);
   }
 
-  /// All blocks in `worker`'s store as (bi, bj, block) triples.
+  /// All blocks in `worker`'s store as (bi, bj, block) triples, in
+  /// ascending (bi, bj) order. The store's own iteration order follows its
+  /// insertion history, which pool threads and network delivery vary; the
+  /// callers that accumulate across blocks (row/column sums, reductions)
+  /// need one floating-point summation order for bit-identical runs.
   std::vector<std::tuple<int64_t, int64_t, BlockPtr>> WorkerBlocks(
       int worker) const {
     std::vector<std::tuple<int64_t, int64_t, BlockPtr>> out;
@@ -129,6 +133,10 @@ class DistMatrix {
       out.emplace_back(key / grid_.block_cols(), key % grid_.block_cols(),
                        entry.block);
     }
+    std::sort(out.begin(), out.end(), [](const auto& x, const auto& y) {
+      return std::tie(std::get<0>(x), std::get<1>(x)) <
+             std::tie(std::get<0>(y), std::get<1>(y));
+    });
     return out;
   }
 

@@ -2,11 +2,11 @@
 //
 // Unit tests drive SimNetwork directly: guaranteed delivery under drops,
 // duplicate suppression, sorted (sender, sequence) delivery, and the
-// stale-epoch fence. The end-to-end sweep then runs GNMF and PageRank under
-// duplicate-heavy, reorder-heavy, drop-heavy, delay, and transient-partition
-// specs across ten injector seeds each, asserting the outputs stay
-// bit-identical to the fault-free run while only fault.net.* accounting
-// moves.
+// stale-epoch fence. The end-to-end sweep then runs GNMF, PageRank and a
+// crossed row/column-sum program under duplicate-heavy, reorder-heavy,
+// drop-heavy, delay, and transient-partition specs across ten injector seeds
+// each, asserting the outputs stay bit-identical to the fault-free run while
+// only fault.net.* accounting moves.
 #include "runtime/network.h"
 
 #include <gtest/gtest.h>
@@ -157,16 +157,61 @@ RunConfig BaseConfig() {
   return config;
 }
 
+/// G = t(A) %*% A followed by both of G's sums: whichever scheme G lands in,
+/// one sum runs across G's partitioned axis, so its partial vectors go
+/// through the aggregate shuffle.
+FaultAppCase MakeCrossedSums() {
+  ProgramBuilder pb;
+  Mat a = pb.Load("A", {96, 64}, 0.3);
+  Mat g = pb.Var("G");
+  pb.Assign(g, a.t().mm(a));
+  Mat s = pb.Var("S");
+  pb.Assign(s, g.RowSums());
+  Mat cs = pb.Var("CS");
+  pb.Assign(cs, g.ColSums());
+  pb.Output(s);
+  pb.Output(cs);
+  FaultAppCase c{"crossed-sums", pb.Build(), {}};
+  c.inputs.emplace_back("A", SyntheticSparse(96, 64, 0.3, kFaultBs, 17));
+  return c;
+}
+
+/// True when `plan` has a row/column sum that shuffles its partials.
+bool HasCrossedAggregate(const Plan& plan) {
+  for (const PlanStep& step : plan.steps) {
+    if ((step.op_kind == OpKind::kRowSums ||
+         step.op_kind == OpKind::kColSums) &&
+        step.output_comm) {
+      return true;
+    }
+  }
+  return false;
+}
+
 class NetFaultIdentityTest : public ::testing::TestWithParam<int> {
  protected:
   static FaultAppCase MakeCase(int index) {
-    return index == 0 ? MakeSmallGnmf() : MakeSmallPageRank();
+    switch (index) {
+      case 0:
+        return MakeSmallGnmf();
+      case 1:
+        return MakeSmallPageRank();
+      default:
+        return MakeCrossedSums();
+    }
   }
 };
 
 TEST_P(NetFaultIdentityTest, NetworkFaultsNeverChangeResults) {
   const FaultAppCase app = MakeCase(GetParam());
   const Bindings bindings = app.MakeBindings();
+  if (app.name == "crossed-sums") {
+    // The case exists for the aggregate shuffle; without it the sweep below
+    // would pass without ever sending an aggregate partial.
+    auto plan = PlanProgram(app.program, BaseConfig());
+    ASSERT_TRUE(plan.ok()) << plan.status();
+    ASSERT_TRUE(HasCrossedAggregate(*plan)) << plan->ToString();
+  }
   const auto baseline = RunProgram(app.program, bindings, BaseConfig());
   ASSERT_TRUE(baseline.ok()) << baseline.status();
 
@@ -196,10 +241,17 @@ TEST_P(NetFaultIdentityTest, NetworkFaultsNeverChangeResults) {
   EXPECT_GT(total_perturbations, 0) << app.name;
 }
 
-INSTANTIATE_TEST_SUITE_P(Apps, NetFaultIdentityTest, ::testing::Values(0, 1),
+INSTANTIATE_TEST_SUITE_P(Apps, NetFaultIdentityTest,
+                         ::testing::Values(0, 1, 2),
                          [](const ::testing::TestParamInfo<int>& info) {
-                           return info.param == 0 ? std::string("gnmf")
-                                                  : std::string("pagerank");
+                           switch (info.param) {
+                             case 0:
+                               return std::string("gnmf");
+                             case 1:
+                               return std::string("pagerank");
+                             default:
+                               return std::string("crossed_sums");
+                           }
                          });
 
 }  // namespace
