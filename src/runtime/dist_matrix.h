@@ -6,7 +6,8 @@
 // ranges for Row, block-column ranges for Column, full replication for
 // Broadcast. Blocks are shared immutably (shared_ptr), so local extended
 // operators (reference/extract) copy pointers, not payloads — only the
-// network layer (executor) copies across stores and counts bytes.
+// transport (runtime/transport.h) moves blocks across stores and counts
+// bytes.
 //
 // Governance (docs/governance.md): when a query runs under a MemoryBudget,
 // each store charges the budget for the blocks it *owns* (input matrices are

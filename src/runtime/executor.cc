@@ -26,7 +26,7 @@
 #include "obs/trace.h"
 #include "runtime/buffer_pool.h"
 #include "runtime/membership.h"
-#include "runtime/network.h"
+#include "runtime/transport.h"
 
 namespace dmac {
 
@@ -123,7 +123,8 @@ class Executor::Impl {
                 opts.task_scheduling),
         node_data_(plan.nodes.size()),
         gov_(opts.governor),
-        node_last_use_(plan.nodes.size(), -1) {
+        node_last_use_(plan.nodes.size(), -1),
+        transport_(opts.num_workers, &stats_, &recovering_) {
     if (gov_.token.active()) engine_.SetCancelToken(&gov_.token);
     if (gov_.budget != nullptr) buffers_.SetBudget(gov_.budget);
     // CSC→CSR conversion cache for plan steps marked by MarkOperandReuse
@@ -418,33 +419,6 @@ class Executor::Impl {
     return st;
   }
 
-  /// Counts one shuffle round of `bytes` (stats + metrics). Bytes moved by
-  /// recovery work are kept out of the useful-communication totals.
-  void CountShuffle(double bytes) {
-    if (recovering_) {
-      stats_.recovery_bytes += bytes;
-      ++stats_.recovery_events;
-      return;
-    }
-    stats_.shuffle_bytes += bytes;
-    ++stats_.shuffle_events;
-    metric_shuffle_bytes_->Add(bytes);
-    metric_shuffle_rounds_->Increment();
-  }
-
-  /// Counts one broadcast round of `bytes` (stats + metrics).
-  void CountBroadcast(double bytes) {
-    if (recovering_) {
-      stats_.recovery_bytes += bytes;
-      ++stats_.recovery_events;
-      return;
-    }
-    stats_.broadcast_bytes += bytes;
-    ++stats_.broadcast_events;
-    metric_broadcast_bytes_->Add(bytes);
-    metric_broadcast_rounds_->Increment();
-  }
-
   void AddRecoverySeconds(int stage, double seconds) {
     stats_.AddRecoverySeconds(stage, seconds);
     metric_fault_recovery_seconds_->Add(seconds);
@@ -603,8 +577,8 @@ class Executor::Impl {
           opts_.fault.death_prob > 0 || opts_.fault.death_step >= 0;
       if (death_possible || opts_.fault.net.Any()) {
         membership_ = std::make_unique<ClusterMembership>(opts_.num_workers);
-        net_ = std::make_unique<SimNetwork>(injector_.get(), membership_.get(),
-                                            retry_policy_);
+        transport_.EnableNetwork(injector_.get(), membership_.get(),
+                                 retry_policy_);
       }
     }
     plan_has_hints_ = false;
@@ -614,10 +588,7 @@ class Executor::Impl {
     return Status::Ok();
   }
 
-  /// Physical host of logical slot `w` (identity until a death rebalances).
-  int Host(int w) const {
-    return membership_ != nullptr ? membership_->HostOf(w) : w;
-  }
+  int Host(int w) const { return transport_.Host(w); }
 
   /// Copies membership and network-fault accounting into ExecStats and the
   /// metric registry at the end of a run.
@@ -635,8 +606,8 @@ class Executor::Impl {
           static_cast<double>(membership_->dead_workers()));
       metric_membership_detection_->Add(stats_.detection_seconds);
     }
-    if (net_ == nullptr) return;
-    const NetFaultStats& ns = net_->stats();
+    if (transport_.network() == nullptr) return;
+    const NetFaultStats& ns = transport_.network()->stats();
     stats_.net_messages = ns.messages;
     stats_.net_retransmits = ns.retransmits;
     stats_.net_retrans_bytes = ns.retrans_bytes;
@@ -656,11 +627,6 @@ class Executor::Impl {
     metric_net_stale_fenced_->Add(static_cast<double>(ns.stale_fenced));
     metric_net_stale_applied_->Add(static_cast<double>(ns.stale_applied));
   }
-
-  /// Transfers route through the fault-injecting network layer only on the
-  /// useful (first) attempt; retries and lineage recovery use the direct
-  /// path so that a bounded retry budget is guaranteed to converge.
-  bool UseNetwork() const { return net_ != nullptr && !recovering_; }
 
   /// Fault-tolerant step execution: inject boundary faults, then attempt
   /// the step up to 1 + max_retries times. A retryable failure (transient
@@ -739,7 +705,7 @@ class Executor::Impl {
     // A failed attempt may have left undelivered sends queued (e.g. a
     // missing block detected mid-shuffle); they must never leak into a
     // later flush.
-    if (net_ != nullptr) net_->Clear();
+    transport_.DropPending();
     Status st = PreflightStepInputs(step);
     if (st.ok()) st = ExecuteStep(step);
     recovering_ = false;
@@ -1287,10 +1253,9 @@ class Executor::Impl {
     }
     auto dm = NewData(step.output, src.shape());
     const bool broadcast = dm->scheme() == Scheme::kBroadcast;
-    TraceSpan span = TraceRecorder::Global().enabled()
-                         ? TraceSpan(kTraceComm, "load " + step.source)
-                         : TraceSpan();
-    double bytes = 0;
+    Transport::Round round(
+        &transport_, broadcast ? CommKind::kBroadcast : CommKind::kShuffle,
+        "load " + step.source, /*span_covers_round=*/true);
     for (int64_t bi = 0; bi < dm->grid().block_rows(); ++bi) {
       for (int64_t bj = 0; bj < dm->grid().block_cols(); ++bj) {
         // Non-owning pointer into the binding: the caller keeps inputs
@@ -1301,22 +1266,14 @@ class Executor::Impl {
             static_cast<double>(ptr->MemoryBytes());
         if (broadcast) {
           for (int w = 0; w < opts_.num_workers; ++w) dm->Put(w, bi, bj, ptr);
-          bytes += block_bytes * opts_.num_workers;
+          round.ChargeLoad(block_bytes * opts_.num_workers);
         } else {
           dm->Put(dm->OwnerOf(bi, bj), bi, bj, ptr);
-          bytes += block_bytes;
+          round.ChargeLoad(block_bytes);
         }
       }
     }
-    if (broadcast) {
-      CountBroadcast(bytes);
-    } else {
-      CountShuffle(bytes);
-    }
-    if (span.active()) {
-      span.set_args(TraceArg("bytes", bytes) + "," +
-                    TraceArg("kind", broadcast ? "broadcast" : "shuffle"));
-    }
+    round.Close();
     return Status::Ok();
   }
 
@@ -1356,14 +1313,10 @@ class Executor::Impl {
     auto dst = NewData(step.output, src.grid().matrix);
     DMAC_CHECK(dst->scheme() != Scheme::kBroadcast);
     // A repartition onto the *same* scheme (SystemML-S's hash shuffle of an
-    // already-aligned matrix) keeps block placement in our simulator, but on
-    // a real cluster the hash shuffle still pushes an expected (N-1)/N of
-    // the data across the network; charge that fraction.
+    // already-aligned matrix) keeps every block where it is.
     const bool same_scheme = src.scheme() == dst->scheme();
-    const double hash_fraction =
-        static_cast<double>(opts_.num_workers - 1) / opts_.num_workers;
-    TraceSpan span(kTraceComm, "partition");
-    double bytes = 0;
+    Transport::Round round(&transport_, CommKind::kShuffle, "partition",
+                           /*span_covers_round=*/true);
     for (int64_t bi = 0; bi < src.grid().block_rows(); ++bi) {
       for (int64_t bj = 0; bj < src.grid().block_cols(); ++bj) {
         const int to = dst->OwnerOf(bi, bj);
@@ -1373,61 +1326,38 @@ class Executor::Impl {
                              : src.OwnerOf(bi, bj);
         DMAC_ASSIGN_OR_RETURN(auto ptr,
                               VerifiedGet(src, from, bi, bj, "partition"));
-        if (same_scheme) {
-          bytes += static_cast<double>(ptr->MemoryBytes()) * hash_fraction;
-        } else if (Host(from) != Host(to)) {
-          bytes += static_cast<double>(ptr->MemoryBytes());
-        }
-        if (UseNetwork() && from != to) {
-          DistMatrix* d = dst.get();
-          net_->Send(from, to, static_cast<double>(ptr->MemoryBytes()),
-                     [d, to, bi, bj, ptr] { d->Put(to, bi, bj, ptr); });
-        } else {
-          dst->Put(to, bi, bj, std::move(ptr));
-        }
+        const double bytes = static_cast<double>(ptr->MemoryBytes());
+        if (same_scheme) round.ChargeRehash(bytes);  // from == to: free send
+        DistMatrix* d = dst.get();
+        round.Send(from, to, bytes,
+                   [d, to, bi, bj, ptr] { d->Put(to, bi, bj, ptr); });
       }
     }
-    CountShuffle(bytes);
-    if (span.active()) {
-      span.set_args(TraceArg("bytes", bytes) + "," +
-                    TraceArg("kind", "shuffle"));
-    }
-    if (UseNetwork()) DMAC_RETURN_NOT_OK(net_->Flush("partition"));
-    return Status::Ok();
+    round.Close();
+    return round.Flush();
   }
 
   Status ExecBroadcast(const PlanStep& step) {
     const DistMatrix& src = Data(step.inputs[0]);
     auto dst = NewData(step.output, src.grid().matrix);
     DMAC_CHECK(dst->scheme() == Scheme::kBroadcast);
-    TraceSpan span(kTraceComm, "broadcast");
-    double bytes = 0;
+    Transport::Round round(&transport_, CommKind::kBroadcast, "broadcast",
+                           /*span_covers_round=*/true);
     for (int64_t bi = 0; bi < src.grid().block_rows(); ++bi) {
       for (int64_t bj = 0; bj < src.grid().block_cols(); ++bj) {
         const int from = src.OwnerOf(bi, bj);
         DMAC_ASSIGN_OR_RETURN(auto ptr,
                               VerifiedGet(src, from, bi, bj, "broadcast"));
+        const double bytes = static_cast<double>(ptr->MemoryBytes());
+        DistMatrix* d = dst.get();
         for (int w = 0; w < opts_.num_workers; ++w) {
-          if (w != from && Host(w) != Host(from)) {
-            bytes += static_cast<double>(ptr->MemoryBytes());
-          }
-          if (UseNetwork() && w != from) {
-            DistMatrix* d = dst.get();
-            net_->Send(from, w, static_cast<double>(ptr->MemoryBytes()),
-                       [d, w, bi, bj, ptr] { d->Put(w, bi, bj, ptr); });
-          } else {
-            dst->Put(w, bi, bj, ptr);
-          }
+          round.Send(from, w, bytes,
+                     [d, w, bi, bj, ptr] { d->Put(w, bi, bj, ptr); });
         }
       }
     }
-    CountBroadcast(bytes);
-    if (span.active()) {
-      span.set_args(TraceArg("bytes", bytes) + "," +
-                    TraceArg("kind", "broadcast"));
-    }
-    if (UseNetwork()) DMAC_RETURN_NOT_OK(net_->Flush("broadcast"));
-    return Status::Ok();
+    round.Close();
+    return round.Flush();
   }
 
   Status ExecTranspose(const PlanStep& step) {
@@ -1620,29 +1550,18 @@ class Executor::Impl {
     // Phase 1: every worker forms its partial C over its own k-range.
     // Phase 2: partial blocks are shuffled to their final owner and summed
     // (the cross-product aggregation whose cost is N·|C|, §4.1).
-    struct Partial {
-      int64_t bi;
-      int64_t bj;
-      DistMatrix::BlockPtr block;
-      int from;
-    };
-    std::vector<std::vector<Partial>> incoming(
-        static_cast<size_t>(opts_.num_workers));
-    double bytes = 0;
-
-    for (int w = 0; w < opts_.num_workers; ++w) {
+    const auto partial_products = [&](int w, std::vector<Partial>* partials) {
       int64_t klo, khi;
       OwnedRange(w, kb, opts_.num_workers, &klo, &khi);
-      if (klo >= khi) continue;
+      if (klo >= khi) return Status::Ok();
       std::vector<MultiplyTask> tasks;
       for (int64_t bi = 0; bi < out_grid.block_rows(); ++bi) {
         for (int64_t bj = 0; bj < out_grid.block_cols(); ++bj) {
           tasks.push_back({bi, bj, klo, khi});
         }
       }
-      Mutex mu;
-      std::vector<Partial> local;  // guarded by mu while workers run
-      Status st = TimedWorker(step, w, [&] {
+      Mutex mu;  // guards `partials` while pool threads run
+      return TimedWorker(step, w, [&] {
         return engine_.MultiplyBlocks(
             out_grid, tasks,
             [&a, w, ta](int64_t bi, int64_t k) {
@@ -1655,75 +1574,92 @@ class Executor::Impl {
               if (blk.nnz() == 0) return;  // nothing to ship
               auto ptr = std::make_shared<const Block>(std::move(blk));
               MutexLock lock(&mu);
-              local.push_back({bi, bj, std::move(ptr), w});
+              partials->push_back({bi, bj, std::move(ptr), w});
             },
             MultiplyOptions{ta, tb, step.cache_csr_b});
       },
-      /*idempotent=*/false);  // a second run would duplicate `local`
-      DMAC_RETURN_NOT_OK(st);
-      // Pool threads complete tasks in nondeterministic order; sort by
-      // output block so the send order — and with it the network layer's
-      // fault-draw schedule — is a pure function of the plan and seed.
-      std::sort(local.begin(), local.end(),
-                [&out_grid](const Partial& x, const Partial& y) {
-                  return x.bi * out_grid.block_cols() + x.bj <
-                         y.bi * out_grid.block_cols() + y.bj;
+      /*idempotent=*/false);  // a second run would duplicate the partials
+    };
+    const auto round_boundary = [&] {
+      // Partials are in flight. A death forced here (death_in_flight)
+      // bumps the epoch while the victim's sends sit queued, so the flush
+      // fences them — the stale-epoch path the degraded-mode tests audit.
+      if (membership_ != nullptr && opts_.fault.death_in_flight &&
+          opts_.fault.death_step == step.id && !forced_death_applied_ &&
+          !recovering_) {
+        forced_death_applied_ = true;
+        ApplyDeath(opts_.fault.death_worker, step.stage);
+      }
+      // The cheapest place to notice a mid-CPMM cancel.
+      return CheckCancel();
+    };
+    return ShuffleAndSum(step, "cpmm-shuffle", c, partial_products,
+                         round_boundary, /*sum_on_idle_owners=*/false);
+  }
+
+  /// A partial of output block (bi, bj) computed by worker `from`.
+  struct Partial {
+    int64_t bi;
+    int64_t bj;
+    DistMatrix::BlockPtr block;
+    int from;
+  };
+
+  /// Shuffle-and-sum, shared by CPMM and the crossed row/column sums, whose
+  /// workers each hold partials of the whole output. Worker by worker,
+  /// `produce(w, &partials)` computes w's partials and they are sent to the
+  /// owners of their output blocks in output-block order, so the network
+  /// layer's fault draws are a pure function of the plan and seed.
+  /// `round_boundary()` runs between the last send and the flush. Each
+  /// owner then sums its partials as kAggregate engine tasks, and output
+  /// blocks that got no partial become empty blocks. Owners that received
+  /// nothing skip the summation unless `sum_on_idle_owners`.
+  template <typename Produce, typename Boundary>
+  Status ShuffleAndSum(const PlanStep& step, const char* name, DistMatrix* c,
+                       Produce&& produce, Boundary&& round_boundary,
+                       bool sum_on_idle_owners) {
+    const BlockGrid& out_grid = c->grid();
+    const int64_t bcols = out_grid.block_cols();
+    std::vector<std::vector<Partial>> incoming(
+        static_cast<size_t>(opts_.num_workers));
+    Transport::Round round(&transport_, CommKind::kShuffle, name,
+                           /*span_covers_round=*/false);
+    for (int w = 0; w < opts_.num_workers; ++w) {
+      std::vector<Partial> partials;
+      DMAC_RETURN_NOT_OK(produce(w, &partials));
+      // Pool threads and hash maps hand partials over in no fixed order.
+      std::sort(partials.begin(), partials.end(),
+                [bcols](const Partial& x, const Partial& y) {
+                  return x.bi * bcols + x.bj < y.bi * bcols + y.bj;
                 });
-      for (Partial& p : local) {
-        const int dst = c->OwnerOf(p.bi, p.bj);
-        if (Host(dst) != Host(p.from)) {
-          bytes += static_cast<double>(p.block->MemoryBytes());
-        }
-        if (UseNetwork() && dst != p.from) {
-          const double block_bytes =
-              static_cast<double>(p.block->MemoryBytes());
-          auto carried = std::make_shared<Partial>(std::move(p));
-          net_->Send(carried->from, dst, block_bytes,
-                     [&incoming, dst, carried] {
-                       incoming[static_cast<size_t>(dst)].push_back(
-                           std::move(*carried));
-                     });
-        } else {
-          incoming[static_cast<size_t>(dst)].push_back(std::move(p));
-        }
+      for (Partial& p : partials) {
+        const int owner = c->OwnerOf(p.bi, p.bj);
+        const double bytes = static_cast<double>(p.block->MemoryBytes());
+        round.Send(w, owner, bytes,
+                   [&incoming, owner, p = std::move(p)]() mutable {
+                     incoming[static_cast<size_t>(owner)].push_back(
+                         std::move(p));
+                   });
       }
     }
-    CountShuffle(bytes);
-    if (TraceRecorder::Global().enabled()) {
-      TraceSpan span(kTraceComm, "cpmm-shuffle");
-      span.set_args(TraceArg("bytes", bytes) + "," +
-                    TraceArg("kind", "shuffle"));
-    }
-    // Comm-round boundary: partials are in flight. A death forced here
-    // (death_in_flight) bumps the epoch while the victim's sends sit
-    // queued, so the flush below fences them — the stale-epoch path the
-    // degraded-mode tests audit.
-    if (membership_ != nullptr && opts_.fault.death_in_flight &&
-        opts_.fault.death_step == step.id && !forced_death_applied_ &&
-        !recovering_) {
-      forced_death_applied_ = true;
-      ApplyDeath(opts_.fault.death_worker, step.stage);
-    }
-    // Comm-round boundary: the cheapest place to notice a mid-CPMM cancel.
-    DMAC_RETURN_NOT_OK(CheckCancel());
-    if (UseNetwork()) DMAC_RETURN_NOT_OK(net_->Flush("cpmm-shuffle"));
+    round.Close();
+    DMAC_RETURN_NOT_OK(round_boundary());
+    DMAC_RETURN_NOT_OK(round.Flush());
 
-    // Phase 2: aggregation at the owners (next stage's beginning; we account
-    // its compute into the step's stage for simplicity).
     for (int w = 0; w < opts_.num_workers; ++w) {
       auto& parts = incoming[static_cast<size_t>(w)];
-      if (parts.empty()) continue;
+      if (parts.empty() && !sum_on_idle_owners) continue;
       std::unordered_map<int64_t, std::vector<Partial>> grouped;
       for (Partial& p : parts) {
-        grouped[p.bi * out_grid.block_cols() + p.bj].push_back(std::move(p));
+        grouped[p.bi * bcols + p.bj].push_back(std::move(p));
       }
       // Sum each output block's partials in sender order, regardless of
       // arrival order: locally-kept and network-delivered partials may
       // interleave differently, and floating-point addition is not
       // associative — the summation order must be canonical for the run to
       // stay bit-identical under reordering faults.
-      for (auto& [key, blocks] : grouped) {
-        std::sort(blocks.begin(), blocks.end(),
+      for (auto& [key, group] : grouped) {
+        std::sort(group.begin(), group.end(),
                   [](const Partial& x, const Partial& y) {
                     return x.from < y.from;
                   });
@@ -1732,17 +1668,15 @@ class Executor::Impl {
       Status st = TimedWorker(step, w, [&] {
         std::vector<std::function<Status()>> tasks;
         tasks.reserve(grouped.size());
-        for (auto& [key, blocks] : grouped) {
-          const int64_t bi = key / out_grid.block_cols();
-          const int64_t bj = key % out_grid.block_cols();
-          auto* blocks_ptr = &blocks;
-          tasks.push_back([this, &sink, bi, bj, blocks_ptr] {
-            std::vector<const Block*> parts;
-            parts.reserve(blocks_ptr->size());
-            for (const auto& p : *blocks_ptr) parts.push_back(p.block.get());
-            auto result = SumBlocks(parts, opts_.density_threshold);
-            if (!result.ok()) return result.status();
-            sink(bi, bj, std::move(*result));
+        for (auto& [key, group] : grouped) {
+          tasks.push_back([this, &sink, bi = key / bcols, bj = key % bcols,
+                           group = &group] {
+            std::vector<const Block*> blocks;
+            blocks.reserve(group->size());
+            for (const Partial& p : *group) blocks.push_back(p.block.get());
+            auto sum = SumBlocks(blocks, opts_.density_threshold);
+            if (!sum.ok()) return sum.status();
+            sink(bi, bj, std::move(*sum));
             return Status::Ok();
           });
         }
@@ -1753,7 +1687,7 @@ class Executor::Impl {
 
     // Output blocks with no partials anywhere are zero blocks.
     for (int64_t bi = 0; bi < out_grid.block_rows(); ++bi) {
-      for (int64_t bj = 0; bj < out_grid.block_cols(); ++bj) {
+      for (int64_t bj = 0; bj < bcols; ++bj) {
         const int w = c->OwnerOf(bi, bj);
         if (c->Get(w, bi, bj) == nullptr) {
           const Shape shape = out_grid.BlockShape(bi, bj);
@@ -1950,100 +1884,24 @@ class Executor::Impl {
 
     // Crossed: every worker holds a partial over the full output; shuffle
     // partials to their owners and sum.
-    struct Partial {
-      int64_t idx;
-      DistMatrix::BlockPtr block;
-      int from;
+    const auto partial_sums = [&](int w, std::vector<Partial>* partials) {
+      std::unordered_map<int64_t, DenseBlock> sums;
+      DMAC_RETURN_NOT_OK(TimedWorker(step, w, [&] {
+        sums = local_partials(w);
+        return Status::Ok();
+      }));
+      for (const auto& [idx, acc] : sums) {
+        partials->push_back(
+            {rows ? idx : 0, rows ? 0 : idx,
+             std::make_shared<const Block>(
+                 CompactFromDense(acc, opts_.density_threshold)),
+             w});
+      }
+      return Status::Ok();
     };
-    std::vector<std::vector<Partial>> incoming(
-        static_cast<size_t>(opts_.num_workers));
-    double bytes = 0;
-    for (int w = 0; w < opts_.num_workers; ++w) {
-      std::unordered_map<int64_t, DenseBlock> partials;
-      Status st = TimedWorker(step, w, [&] {
-        partials = local_partials(w);
-        return Status::Ok();
-      });
-      DMAC_RETURN_NOT_OK(st);
-      // Send in ascending output-index order: the hash map's iteration
-      // order is unspecified, and the network layer's fault-draw schedule
-      // must be a pure function of the plan and seed.
-      std::vector<int64_t> idxs;
-      idxs.reserve(partials.size());
-      for (const auto& [idx, acc] : partials) idxs.push_back(idx);
-      std::sort(idxs.begin(), idxs.end());
-      for (int64_t idx : idxs) {
-        auto block = std::make_shared<const Block>(CompactFromDense(
-            partials.at(idx), opts_.density_threshold));
-        const int dst = rows ? c->OwnerOf(idx, 0) : c->OwnerOf(0, idx);
-        if (Host(dst) != Host(w)) {
-          bytes += static_cast<double>(block->MemoryBytes());
-        }
-        if (UseNetwork() && dst != w) {
-          const double block_bytes =
-              static_cast<double>(block->MemoryBytes());
-          net_->Send(w, dst, block_bytes,
-                     [&incoming, dst, idx, block, w] {
-                       incoming[static_cast<size_t>(dst)].push_back(
-                           {idx, block, w});
-                     });
-        } else {
-          incoming[static_cast<size_t>(dst)].push_back(
-              {idx, std::move(block), w});
-        }
-      }
-    }
-    CountShuffle(bytes);
-    if (TraceRecorder::Global().enabled()) {
-      TraceSpan span(kTraceComm, "aggregate-shuffle");
-      span.set_args(TraceArg("bytes", bytes) + "," +
-                    TraceArg("kind", "shuffle"));
-    }
-    if (UseNetwork()) DMAC_RETURN_NOT_OK(net_->Flush("aggregate-shuffle"));
-
-    for (int w = 0; w < opts_.num_workers; ++w) {
-      std::unordered_map<int64_t, std::vector<Partial>> grouped;
-      for (Partial& p : incoming[static_cast<size_t>(w)]) {
-        grouped[p.idx].push_back(std::move(p));
-      }
-      // Canonical sender-order summation, as in ExecCpmm phase 2.
-      for (auto& [idx, ps] : grouped) {
-        std::sort(ps.begin(), ps.end(),
-                  [](const Partial& x, const Partial& y) {
-                    return x.from < y.from;
-                  });
-      }
-      Status st = TimedWorker(step, w, [&] {
-        for (auto& [idx, ps] : grouped) {
-          std::vector<const Block*> parts;
-          parts.reserve(ps.size());
-          for (const auto& p : ps) parts.push_back(p.block.get());
-          auto sum = SumBlocks(parts, opts_.density_threshold);
-          if (!sum.ok()) return sum.status();
-          auto block = std::make_shared<const Block>(std::move(*sum));
-          if (rows) {
-            c->Put(w, idx, 0, std::move(block));
-          } else {
-            c->Put(w, 0, idx, std::move(block));
-          }
-        }
-        return Status::Ok();
-      });
-      DMAC_RETURN_NOT_OK(st);
-    }
-    // Contributions exist for every output block (inputs cover the grid),
-    // but guard against fully-empty worker shares.
-    for (int64_t bi = 0; bi < out_grid.block_rows(); ++bi) {
-      for (int64_t bj = 0; bj < out_grid.block_cols(); ++bj) {
-        const int w = c->OwnerOf(bi, bj);
-        if (c->Get(w, bi, bj) == nullptr) {
-          const Shape s = out_grid.BlockShape(bi, bj);
-          c->Put(w, bi, bj,
-                 std::make_shared<const Block>(CscBlock(s.rows, s.cols)));
-        }
-      }
-    }
-    return Status::Ok();
+    return ShuffleAndSum(step, "aggregate-shuffle", c.get(), partial_sums,
+                         [] { return Status::Ok(); },
+                         /*sum_on_idle_owners=*/true);
   }
 
   /// Shares worker 0's blocks with every other replica of a Broadcast
@@ -2081,19 +1939,7 @@ class Executor::Impl {
     }
     if (step.reduce == ReduceKind::kNorm2) total = std::sqrt(total);
     scalars_[step.scalar_out] = total;
-    // Driver aggregation: N partial doubles cross the network (bytes only,
-    // no extra round — the reduce piggybacks on the stage boundary).
-    if (recovering_) {
-      stats_.recovery_bytes += 8.0 * opts_.num_workers;
-    } else {
-      stats_.shuffle_bytes += 8.0 * opts_.num_workers;
-      metric_shuffle_bytes_->Add(8.0 * opts_.num_workers);
-    }
-    if (TraceRecorder::Global().enabled()) {
-      TraceSpan span(kTraceComm, "reduce");
-      span.set_args(TraceArg("bytes", 8.0 * opts_.num_workers) + "," +
-                    TraceArg("kind", "shuffle"));
-    }
+    transport_.ChargeReduce();  // the N partials reach the driver
     return Status::Ok();
   }
 
@@ -2168,14 +2014,14 @@ class Executor::Impl {
   int resume_skip_step_ = -1;
   std::set<int> reload_step_ids_;
 
-  // Membership, degraded mode, and the fault-injecting network layer
-  // (docs/fault_tolerance.md). Both pointers are null unless the spec can
-  // kill workers or perturb messages, so clean runs pay one branch per
-  // transfer. `retry_policy_` also drives the step retry loop (it encodes
+  // Membership and degraded mode (docs/fault_tolerance.md). The pointer is
+  // null, and the transport has no network layer, unless the spec can kill
+  // workers or perturb messages, so clean runs deliver every block
+  // directly. `retry_policy_` also drives the step retry loop (it encodes
   // the same exponential backoff the executor always used).
   std::unique_ptr<ClusterMembership> membership_;
-  std::unique_ptr<SimNetwork> net_;
   RetryPolicy retry_policy_;
+  Transport transport_;  // every block moved between worker stores
   Status quorum_status_ = Status::Ok();
   std::vector<int> host_map_;  // cached HostMap; applied to new matrices
   bool forced_death_applied_ = false;
@@ -2183,14 +2029,6 @@ class Executor::Impl {
 
   // Cached metric instruments (stable pointers; no-ops while the registry
   // is disabled).
-  Counter* metric_shuffle_bytes_ =
-      MetricRegistry::Global().counter(kMetricShuffleBytes);
-  Counter* metric_broadcast_bytes_ =
-      MetricRegistry::Global().counter(kMetricBroadcastBytes);
-  Counter* metric_shuffle_rounds_ =
-      MetricRegistry::Global().counter(kMetricShuffleRounds);
-  Counter* metric_broadcast_rounds_ =
-      MetricRegistry::Global().counter(kMetricBroadcastRounds);
   Counter* metric_steps_ = MetricRegistry::Global().counter(kMetricStepsExecuted);
   Gauge* metric_stages_ = MetricRegistry::Global().gauge(kMetricStages);
   Gauge* metric_peak_memory_ =

@@ -1,8 +1,9 @@
 // Distributed plan execution on the simulated cluster (paper §5).
 //
 // The executor walks a finalized plan stage by stage. Communication steps
-// (load, partition, broadcast, CPMM aggregation) move shared block pointers
-// between per-worker stores and count every byte crossing a worker
+// (load, partition, broadcast, CPMM and row/column-sum aggregation) move
+// shared block pointers between per-worker stores through the transport
+// (runtime/transport.h), which counts every byte crossing a worker
 // boundary; everything else runs worker-local through the block engine.
 // Workers are simulated: their local work runs one worker at a time on a
 // shared thread pool (L threads, the paper's local parallelism), and each
