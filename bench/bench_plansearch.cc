@@ -6,7 +6,7 @@
 // estimated communication, measured wall time, and the search's driver
 // overhead relative to one execution iteration. Emits BENCH_plansearch.json
 // (schema dmac-plansearch-v1; override with --out=PATH). --calibration FILE
-// prices candidates with measured kernel rates (CALIBRATION.json) instead
+// prices candidates with measured kernel rates (BENCH_kernels.json) instead
 // of the built-in defaults; --scale S scales the workloads like the other
 // figure benchmarks (DMAC_BENCH_SCALE also applies).
 #include <cstdio>

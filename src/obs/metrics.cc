@@ -118,12 +118,6 @@ const std::vector<MetricSpec>& MetricCatalog() {
       {kMetricPlanEstimateDriftEvents, MetricKind::kCounter, "events",
        "runs whose measured communication diverged more than 4x from the "
        "plan-time estimate (worst-case sparsity pessimism made visible)"},
-      {kMetricPlanRaceWinner, MetricKind::kGauge, "index",
-       "finalist index that won the last top-2 plan race (0 = the "
-       "search's best estimate also measured fastest)"},
-      {kMetricPlanRaceProbeSeconds, MetricKind::kGauge, "seconds",
-       "wall time of the last race's one-iteration probe runs (both "
-       "finalists)"},
       {kMetricFaultInjected, MetricKind::kCounter, "faults",
        "faults injected by the fault framework (crashes, lost blocks, "
        "corruptions, transient failures, stragglers)"},
@@ -138,7 +132,7 @@ const std::vector<MetricSpec>& MetricCatalog() {
        "straggler worker tasks re-executed speculatively on a backup "
        "worker"},
       {kMetricFaultCheckpointBytes, MetricKind::kCounter, "bytes",
-       "block payload bytes deep-copied into the driver checkpoint store"},
+       "block payload bytes recorded in the driver checkpoint store"},
       {kMetricFaultRecoverySeconds, MetricKind::kCounter, "seconds",
        "simulated worker time spent on recovery instead of useful compute "
        "(retried attempts, backoff waits, abandoned straggler attempts)"},

@@ -274,7 +274,7 @@ Result<CalibrationTable> CalibrationTable::Parse(const std::string& json,
     return Status::Invalid("calibration JSON: not an object");
   }
   const std::string schema = StringField(doc, "schema");
-  if (schema != "dmac-calibration-v1" && schema != "dmac-kernel-bench-v2") {
+  if (schema != "dmac-kernel-bench-v2") {
     return Status::Invalid("calibration JSON: unknown schema '" +
                                    schema + "'");
   }

@@ -7,9 +7,8 @@
 // bandwidth/latency model. The plan search layer (plan/search.h) ranks
 // whole candidate plans with it; dmac_lint --cost prints it per step.
 //
-// Rates come from a CalibrationTable: loaded from a `dmac-calibration-v1`
-// document (CALIBRATION.json, scripts/gen_calibration.py) or directly from
-// a `dmac-kernel-bench-v2` sweep (BENCH_kernels.json), with conservative
+// Rates come from a CalibrationTable: loaded from a `dmac-kernel-bench-v2`
+// sweep (BENCH_kernels.json, written by bench_kernels), with conservative
 // built-in defaults when no file is given. An unreadable path degrades to
 // the paper's byte-only cost (compute terms zero) with a one-line warning,
 // so plan ranking still works — it just reproduces Equation 1's order.
@@ -40,7 +39,7 @@ class CalibrationTable {
   /// overpredicting compute.
   static CalibrationTable Builtin();
 
-  /// Loads a `dmac-calibration-v1` or `dmac-kernel-bench-v2` document.
+  /// Loads a `dmac-kernel-bench-v2` document (BENCH_kernels.json).
   /// Unreadable path → byte-cost-only table plus one warning line (the
   /// paper-style fallback); malformed content is an error.
   static Result<CalibrationTable> Load(const std::string& path);

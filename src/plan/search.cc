@@ -183,8 +183,8 @@ class Searcher {
 
     // The unforced Algorithm-1 plan is always candidate #0 before ranking:
     // the stable sort below keeps it ahead on exact cost ties, so a search
-    // that finds nothing better returns the greedy plan itself (and racing
-    // or executing the winner is then bit-identical to a search-off run).
+    // that finds nothing better returns the greedy plan itself (and
+    // executing the winner is then bit-identical to a search-off run).
     DMAC_ASSIGN_OR_RETURN(PlanCandidate greedy,
                           Finalize(Assignment(), /*greedy=*/true));
     result.candidates.push_back(std::move(greedy));

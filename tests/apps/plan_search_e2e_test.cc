@@ -1,4 +1,4 @@
-// End-to-end plan search: every searched (and raced) plan must execute to
+// End-to-end plan search: every searched plan must execute to
 // bit-identical results against the greedy Algorithm-1 plan — the search
 // only reorders communication, never arithmetic — plus the estimate-drift
 // accounting the worst-case §5.1 size estimator makes necessary.
@@ -98,70 +98,6 @@ TEST(PlanSearchE2eTest, PageRankSearchedMatchesGreedyBitwise) {
   // so partial sums aggregate in a different order.
   ExpectUlpClose(searched->result.matrices.at("rank"),
                  greedy->result.matrices.at("rank"), "rank");
-}
-
-TEST(PlanSearchE2eTest, RacedRunMatchesUnracedBitwise) {
-  // Top-2 racing probes one iteration of each finalist, then executes the
-  // winner's full plan from scratch — whichever finalist wins, the output
-  // must be bit-identical to a non-raced greedy run.
-  GnmfConfig config{64, 48, 0.2, 6, 3};
-  Program p = BuildGnmfProgram(config);
-  LocalMatrix v = SyntheticSparse(64, 48, 0.2, kBs, 31);
-  Bindings bindings{{"V", &v}};
-
-  RunConfig greedy_cfg;
-  greedy_cfg.block_size = kBs;
-  RunConfig race_cfg = greedy_cfg;
-  race_cfg.plan_search = PlanSearchMode::kBeam;
-  race_cfg.race_top2 = true;
-
-  auto greedy = RunProgram(p, bindings, greedy_cfg);
-  auto raced = RunProgram(p, bindings, race_cfg);
-  ASSERT_TRUE(greedy.ok()) << greedy.status();
-  ASSERT_TRUE(raced.ok()) << raced.status();
-  EXPECT_TRUE(raced->search.ran);
-  // An iterative program with >= 2 candidates must actually race.
-  EXPECT_TRUE(raced->search.raced);
-  EXPECT_GE(raced->search.race_winner, 0);
-  EXPECT_LE(raced->search.race_winner, 1);
-  EXPECT_GT(raced->search.race_probe_seconds, 0.0);
-  for (const char* name : {"W", "H"}) {
-    ExpectBitIdentical(raced->result.matrices.at(name),
-                       greedy->result.matrices.at(name), name);
-  }
-}
-
-TEST(PlanSearchE2eTest, PageRankRacedMatchesUnracedBitwise) {
-  PageRankConfig config{96, 0.08, 4, 0.85};
-  Program p = BuildPageRankProgram(config);
-  LocalMatrix link = SyntheticSparse(96, 96, 0.08, kBs, 11);
-  LocalMatrix d = SyntheticDense(1, 96, kBs, 13);
-  Bindings bindings{{"link", &link}, {"D", &d}};
-
-  RunConfig greedy_cfg;
-  greedy_cfg.block_size = kBs;
-  RunConfig race_cfg = greedy_cfg;
-  race_cfg.plan_search = PlanSearchMode::kBeam;
-  race_cfg.race_top2 = true;
-
-  auto greedy = RunProgram(p, bindings, greedy_cfg);
-  auto raced = RunProgram(p, bindings, race_cfg);
-  ASSERT_TRUE(greedy.ok()) << greedy.status();
-  ASSERT_TRUE(raced.ok()) << raced.status();
-  ExpectUlpClose(raced->result.matrices.at("rank"),
-                 greedy->result.matrices.at("rank"), "rank");
-}
-
-TEST(PlanSearchE2eTest, RacingWithoutSearchIsAnError) {
-  GnmfConfig config{64, 48, 0.2, 6, 3};
-  LocalMatrix v = SyntheticSparse(64, 48, 0.2, kBs, 31);
-  Bindings bindings{{"V", &v}};
-  RunConfig run;
-  run.block_size = kBs;
-  run.race_top2 = true;  // plan_search left at kOff
-  auto out = RunProgram(BuildGnmfProgram(config), bindings, run);
-  ASSERT_FALSE(out.ok());
-  EXPECT_EQ(out.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(PlanSearchE2eTest, GnmfRecordsEstimateDrift) {

@@ -62,10 +62,9 @@ TEST(CalibrationTableTest, LookupPicksNearestBlockSize) {
   EXPECT_DOUBLE_EQ(t.Lookup("gemm", "dense_dense", "nn", 1024).gflops, 32.0);
 }
 
-TEST(CalibrationTableTest, ParsesCalibrationV1Document) {
+TEST(CalibrationTableTest, ParsesKernelBenchV2GemmAndVecRows) {
   const char* doc = R"({
-    "schema": "dmac-calibration-v1",
-    "default_block_size": 256,
+    "schema": "dmac-kernel-bench-v2",
     "entries": [
       {"kind": "gemm", "representation": "dense_dense", "trans": "nn",
        "block_size": 256, "threads": 1,
@@ -103,9 +102,13 @@ TEST(CalibrationTableTest, RejectsUnknownSchemaAndEmptyEntries) {
   EXPECT_FALSE(CalibrationTable::Parse(R"({"schema":"v9","entries":[{}]})",
                                        "x")
                    .ok());
+  // The retired distilled-table schema is unknown now.
+  EXPECT_FALSE(CalibrationTable::Parse(
+                   R"({"schema":"dmac-calibration-v1","entries":[{}]})", "x")
+                   .ok());
   EXPECT_FALSE(
       CalibrationTable::Parse(
-          R"({"schema":"dmac-calibration-v1","entries":[]})", "x")
+          R"({"schema":"dmac-kernel-bench-v2","entries":[]})", "x")
           .ok());
   EXPECT_FALSE(CalibrationTable::Parse("not json", "x").ok());
 }

@@ -26,7 +26,7 @@
 //                      JSON mode adds a "search" object
 //   --beam-width W     beam width / finalist cap of the search (default 8)
 //   --calibration FILE kernel rates for --cost / --plan-search
-//                      (CALIBRATION.json or BENCH_kernels.json)
+//                      (BENCH_kernels.json)
 //
 // Exit status: 0 clean, 1 diagnostics at error severity (or any finding
 // with --werror), 2 usage error. The exit code is format-independent.

@@ -113,16 +113,14 @@ void PrintUsage(std::FILE* out, const char* argv0) {
                "[--crash-at N] "
                "[--deadline-ms MS] [--mem-budget-mb MB] [--concurrency N] "
                "[--plan-search MODE] [--beam-width W] [--calibration FILE] "
-               "[--race-top2] [--help]\n"
+               "[--help]\n"
                "\n"
                "plan search (docs/planner.md):\n"
                "  --plan-search off|beam|exhaustive  cost-based candidate\n"
                "      plan search; beam keeps --beam-width partial\n"
                "      assignments (default 8)\n"
-               "  --calibration FILE   kernel rates (CALIBRATION.json or\n"
-               "      BENCH_kernels.json); default: built-in rates\n"
-               "  --race-top2          race the top two finalists for one\n"
-               "      probe iteration and execute the measured winner\n"
+               "  --calibration FILE   kernel rates (BENCH_kernels.json);\n"
+               "      default: built-in rates\n"
                "\n"
                "exit codes (docs/governance.md):\n"
                "  0  success\n"
@@ -284,8 +282,6 @@ int main(int argc, char** argv) {
       if (!v) return Usage(argv[0]);
       config.beam_width = std::atoi(v);
       if (config.beam_width < 1) return Usage(argv[0]);
-    } else if (arg == "--race-top2") {
-      config.race_top2 = true;
     } else if (arg == "--baseline") {
       config.exploit_dependencies = false;
     } else if (arg == "--verify-plan") {
@@ -516,23 +512,16 @@ int main(int argc, char** argv) {
       outcome->plan_seconds * 1e3);
   if (outcome->search.ran) {
     const RunSearchInfo& s = outcome->search;
-    std::string race;
-    if (s.raced) {
-      char buf[96];
-      std::snprintf(buf, sizeof(buf), ", race winner=%d (probes %.3fs)",
-                    s.race_winner, s.race_probe_seconds);
-      race = buf;
-    }
     std::printf(
         "[search] mode=%s candidates=%lld rejected=%lld est %.3fs "
         "(greedy %.3fs), comm %.2f MB (greedy %.2f MB), search %.1fms, "
-        "plan: %s%s\n",
+        "plan: %s\n",
         PlanSearchModeName(config.plan_search),
         static_cast<long long>(s.candidates),
         static_cast<long long>(s.rejected), s.best_seconds,
         s.greedy_seconds, s.best_comm_bytes / 1e6,
         s.greedy_comm_bytes / 1e6, s.seconds * 1e3,
-        s.best_decisions.c_str(), race.c_str());
+        s.best_decisions.c_str());
   }
   if (config.fault.enabled || config.checkpoint_every > 0) {
     std::printf(
