@@ -6,8 +6,8 @@ namespace dmac {
 
 namespace {
 
-/// Payload bytes of a snapshot. Entries sharing one deep copy (replicas of
-/// a Broadcast matrix) are counted once — that is what was actually copied.
+/// Payload bytes of a snapshot. Entries sharing one payload (replicas of a
+/// Broadcast matrix) are counted once.
 int64_t PayloadBytes(const std::vector<CheckpointBlock>& blocks) {
   int64_t bytes = 0;
   std::unordered_set<const Block*> seen;

@@ -1,10 +1,12 @@
 // Driver-side checkpoint store (docs/fault_tolerance.md).
 //
-// Checkpointing a node deep-copies its owner blocks out of the simulated
-// cluster into this store. A checkpointed node can be restored directly
-// instead of re-running its producer chain, which is what keeps recovery
-// cost bounded in iterative apps (GNMF, PageRank) whose lineage otherwise
-// grows with the iteration count.
+// Checkpointing a node records its blocks' payload pointers in this store.
+// Blocks are immutable and fault injection replaces a payload rather than
+// mutating it, so the recorded payloads stay exactly what was checkpointed
+// while the cluster's stores move on. A checkpointed node can be restored
+// directly instead of re-running its producer chain, which is what keeps
+// recovery cost bounded in iterative apps (GNMF, PageRank) whose lineage
+// otherwise grows with the iteration count.
 #pragma once
 
 #include <cstdint>
@@ -16,7 +18,7 @@
 
 namespace dmac {
 
-/// One checkpointed block: where it lived and an immutable deep copy.
+/// One checkpointed block: where it lived and its immutable payload.
 struct CheckpointBlock {
   int worker = 0;
   int64_t key = 0;

@@ -51,7 +51,7 @@ struct ExecStats {
   int64_t recomputed_blocks = 0;  // rebuilt by re-running lineage producers
   int64_t restored_blocks = 0;    // restored from checkpoint / replica
   int64_t speculated_tasks = 0;   // straggler tasks re-run on a backup
-  int64_t checkpoint_bytes = 0;   // deep-copied into the checkpoint store
+  int64_t checkpoint_bytes = 0;   // recorded in the checkpoint store
   double recovery_bytes = 0;      // comm bytes moved by retried/recovery work
   int64_t recovery_events = 0;    // comm rounds of retried/recovery work
   /// Worker busy seconds attributed to recovery per stage (1-based stages

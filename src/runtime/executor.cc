@@ -170,13 +170,7 @@ class Executor::Impl {
         // way an uninterrupted run would (spill ordering parity), then
         // either skip it or — for the load steps of reload-marked nodes —
         // re-execute it against the caller's bindings.
-        ++step_clock_;
-        for (int input : step.inputs) {
-          node_last_use_[static_cast<size_t>(input)] = step_clock_;
-        }
-        if (step.output >= 0) {
-          node_last_use_[static_cast<size_t>(step.output)] = step_clock_;
-        }
+        TickLruClock(step);
         if (reload_step_ids_.count(step.id) != 0) {
           DMAC_RETURN_NOT_OK(ExecuteStep(step));
           // Lineage only: the snapshot's checkpoint counter already
@@ -205,9 +199,7 @@ class Executor::Impl {
       if (!step_status.ok() && gov_.token.active() && gov_.token.Fired()) {
         // The engine observed the token mid-kernel; surface the governance
         // status (and its one cancel span), not the kernel's unwind error.
-        if (step.output >= 0) {
-          node_data_[static_cast<size_t>(step.output)] = nullptr;
-        }
+        DropOutput(step);
         DMAC_RETURN_NOT_OK(CheckCancel());
       }
       DMAC_RETURN_NOT_OK(step_status);
@@ -461,6 +453,13 @@ class Executor::Impl {
   /// under the budget for the step's working set.
   Status GovernStep(const PlanStep& step) {
     DMAC_RETURN_NOT_OK(CheckCancel());
+    TickLruClock(step);
+    if (!gov_.budgeted()) return Status::Ok();
+    return RebalanceBudget(step);
+  }
+
+  /// Advances the LRU clock and marks the step's nodes as just used.
+  void TickLruClock(const PlanStep& step) {
     ++step_clock_;
     for (int input : step.inputs) {
       node_last_use_[static_cast<size_t>(input)] = step_clock_;
@@ -468,8 +467,14 @@ class Executor::Impl {
     if (step.output >= 0) {
       node_last_use_[static_cast<size_t>(step.output)] = step_clock_;
     }
-    if (!gov_.budgeted()) return Status::Ok();
-    return RebalanceBudget(step);
+  }
+
+  /// Drops whatever a failed step left of its output: no partial output
+  /// may survive in the stores.
+  void DropOutput(const PlanStep& step) {
+    if (step.output >= 0) {
+      node_data_[static_cast<size_t>(step.output)] = nullptr;
+    }
   }
 
   /// Spills cold nodes (LRU by last-touching step, ids ascending as the
@@ -639,9 +644,7 @@ class Executor::Impl {
     // Below quorum the run fails clean — no retries burned, no recovery
     // attempted, no partial output left behind.
     if (!quorum_status_.ok()) {
-      if (step.output >= 0) {
-        node_data_[static_cast<size_t>(step.output)] = nullptr;
-      }
+      DropOutput(step);
       return quorum_status_;
     }
     Status st;
@@ -651,9 +654,7 @@ class Executor::Impl {
       // An in-flight death during the attempt may have dropped the cluster
       // below quorum; give up before the retry machinery spends anything.
       if (!quorum_status_.ok()) {
-        if (step.output >= 0) {
-          node_data_[static_cast<size_t>(step.output)] = nullptr;
-        }
+        DropOutput(step);
         return quorum_status_;
       }
       // A fired token preempts the retry path: the query exits promptly —
@@ -662,18 +663,13 @@ class Executor::Impl {
       if (gov_.token.active()) {
         Status cancelled = gov_.token.Check();
         if (!cancelled.ok()) {
-          if (step.output >= 0) {
-            node_data_[static_cast<size_t>(step.output)] = nullptr;
-          }
+          DropOutput(step);
           DMAC_RETURN_NOT_OK(CheckCancel());  // emits the cancel span
         }
       }
       const bool retryable = RetryPolicy::Retryable(st);
       if (!retryable || attempt >= retry_policy_.max_retries) {
-        // Give up cleanly: no partial output may survive in the stores.
-        if (step.output >= 0) {
-          node_data_[static_cast<size_t>(step.output)] = nullptr;
-        }
+        DropOutput(step);  // give up cleanly
         if (retryable) {
           const std::string msg = "step " + std::to_string(step.id) +
                                   " failed after " +
@@ -875,7 +871,7 @@ class Executor::Impl {
                                          static_cast<int64_t>(dirty.size())))
             : TraceSpan();
 
-    // 1. Checkpoint restore: exact deep copies taken at record time.
+    // 1. Checkpoint restore: the payloads recorded at checkpoint time.
     if (dm != nullptr) {
       if (const auto* snap = checkpoints_.Find(node_id)) {
         std::vector<LineageBlockRecord> remaining;
@@ -999,17 +995,13 @@ class Executor::Impl {
                    TraceArg("node", int64_t{node.id}));
     const DistMatrix& dm = Data(step.output);
     const int64_t bcols = dm.grid().block_cols();
-    // Deep copies, deduplicated per payload so Broadcast replicas (shared
-    // pointers) are copied — and billed — once.
-    std::unordered_map<const Block*, std::shared_ptr<const Block>> copies;
+    // Blocks are immutable and fault injection replaces a payload instead
+    // of mutating it, so the snapshot shares the store's pointers.
     std::vector<CheckpointBlock> blocks;
     for (int w = 0; w < opts_.num_workers; ++w) {
       for (int64_t key : dm.SortedWorkerKeys(w)) {
-        auto ptr = dm.Get(w, key / bcols, key % bcols);
-        auto [it, inserted] = copies.try_emplace(ptr.get(), nullptr);
-        if (inserted) it->second = std::make_shared<const Block>(*ptr);
         blocks.push_back({w, key, dm.ChecksumAt(w, key / bcols, key % bcols),
-                          it->second});
+                          dm.Get(w, key / bcols, key % bcols)});
       }
     }
     const int64_t before = checkpoints_.bytes_written();
@@ -1363,42 +1355,46 @@ class Executor::Impl {
   Status ExecTranspose(const PlanStep& step) {
     const DistMatrix& src = Data(step.inputs[0]);
     auto dst = NewData(step.output, src.grid().matrix.Transposed());
-    const bool broadcast = src.scheme() == Scheme::kBroadcast;
+    return MapBlocks(step, src, dst.get(), TaskKind::kTranspose,
+                     /*transpose=*/true,
+                     [](int, int64_t, int64_t, const Block& block) {
+                       return Result<Block>(block.Transposed());
+                     });
+  }
+
+  /// Runs `kernel(w, bi, bj, block)` over every block of `a` as engine
+  /// tasks of `kind` on the block's worker, storing each result in `c` at
+  /// (bi, bj), or at (bj, bi) when `transpose`. A Broadcast input is
+  /// computed once, on worker 0, and the result shared by every replica.
+  template <typename Kernel>
+  Status MapBlocks(const PlanStep& step, const DistMatrix& a, DistMatrix* c,
+                   TaskKind kind, bool transpose, const Kernel& kernel) {
+    const bool broadcast = a.scheme() == Scheme::kBroadcast;
     const int workers = broadcast ? 1 : opts_.num_workers;
     for (int w = 0; w < workers; ++w) {
-      auto blocks = src.WorkerBlocks(w);
-      StoreSink sink(dst.get(), w);
+      auto blocks = a.WorkerBlocks(w);
+      StoreSink sink(c, w);
       Status st = TimedWorker(step, w, [&] {
         std::vector<std::function<Status()>> tasks;
         tasks.reserve(blocks.size());
         for (auto& [bi, bj, ptr] : blocks) {
-          const int64_t tbi = bj;
-          const int64_t tbj = bi;
-          const Block* block = ptr.get();
-          tasks.push_back([&sink, tbi, tbj, block] {
-            sink(tbi, tbj, block->Transposed());
+          tasks.push_back([&kernel, &sink, transpose, w, bi = bi, bj = bj,
+                           block = ptr.get()] {
+            Result<Block> out = kernel(w, bi, bj, *block);
+            if (!out.ok()) return out.status();
+            if (transpose) {
+              sink(bj, bi, std::move(*out));
+            } else {
+              sink(bi, bj, std::move(*out));
+            }
             return Status::Ok();
           });
         }
-        return engine_.RunTasks(tasks, TaskKind::kTranspose);
+        return engine_.RunTasks(tasks, kind);
       });
       DMAC_RETURN_NOT_OK(st);
     }
-    if (broadcast) {
-      // Replicas are identical: share worker 0's transposed blocks.
-      for (int64_t bi = 0; bi < dst->grid().block_rows(); ++bi) {
-        for (int64_t bj = 0; bj < dst->grid().block_cols(); ++bj) {
-          auto ptr = dst->Get(0, bi, bj);
-          if (ptr == nullptr) {
-            return Status::Internal("transpose: missing block");
-          }
-          for (int w = 1; w < opts_.num_workers; ++w) {
-            dst->Put(w, bi, bj, ptr);
-          }
-        }
-      }
-    }
-    return Status::Ok();
+    return broadcast ? ReplicateFromWorkerZero(c) : Status::Ok();
   }
 
   Status ExecExtract(const PlanStep& step) {
@@ -1469,35 +1465,30 @@ class Executor::Impl {
     const int64_t kb = ta ? a.grid().block_rows() : a.grid().block_cols();
 
     switch (step.mult_algo) {
-      case MultAlgo::kRMM1: {
-        // A broadcast, B column-partitioned: worker w computes the output
-        // block-columns it owns.
-        DMAC_CHECK(a.scheme() == Scheme::kBroadcast);
-        DMAC_CHECK(b.scheme() == (tb ? Scheme::kRow : Scheme::kCol));
-        for (int w = 0; w < opts_.num_workers; ++w) {
-          std::vector<MultiplyTask> tasks;
-          int64_t lo, hi;
-          OwnedRange(w, out_grid.block_cols(), opts_.num_workers, &lo, &hi);
-          for (int64_t bj = lo; bj < hi; ++bj) {
-            for (int64_t bi = 0; bi < out_grid.block_rows(); ++bi) {
-              tasks.push_back({bi, bj, 0, kb});
-            }
-          }
-          DMAC_RETURN_NOT_OK(RunMultiplyOnWorker(step, w, out_grid, tasks,
-                                                 a, b, c.get()));
-        }
-        return Status::Ok();
-      }
+      case MultAlgo::kRMM1:
       case MultAlgo::kRMM2: {
-        DMAC_CHECK(a.scheme() == (ta ? Scheme::kCol : Scheme::kRow));
-        DMAC_CHECK(b.scheme() == Scheme::kBroadcast);
+        // RMM1: A broadcast, B column-partitioned; worker w computes the
+        // output block-columns it owns. RMM2 mirrors it over block-rows.
+        const bool rmm1 = step.mult_algo == MultAlgo::kRMM1;
+        if (rmm1) {
+          DMAC_CHECK(a.scheme() == Scheme::kBroadcast);
+          DMAC_CHECK(b.scheme() == (tb ? Scheme::kRow : Scheme::kCol));
+        } else {
+          DMAC_CHECK(a.scheme() == (ta ? Scheme::kCol : Scheme::kRow));
+          DMAC_CHECK(b.scheme() == Scheme::kBroadcast);
+        }
+        const int64_t owned =
+            rmm1 ? out_grid.block_cols() : out_grid.block_rows();
+        const int64_t other =
+            rmm1 ? out_grid.block_rows() : out_grid.block_cols();
         for (int w = 0; w < opts_.num_workers; ++w) {
           std::vector<MultiplyTask> tasks;
           int64_t lo, hi;
-          OwnedRange(w, out_grid.block_rows(), opts_.num_workers, &lo, &hi);
-          for (int64_t bi = lo; bi < hi; ++bi) {
-            for (int64_t bj = 0; bj < out_grid.block_cols(); ++bj) {
-              tasks.push_back({bi, bj, 0, kb});
+          OwnedRange(w, owned, opts_.num_workers, &lo, &hi);
+          for (int64_t i = lo; i < hi; ++i) {
+            for (int64_t j = 0; j < other; ++j) {
+              tasks.push_back(rmm1 ? MultiplyTask{j, i, 0, kb}
+                                   : MultiplyTask{i, j, 0, kb});
             }
           }
           DMAC_RETURN_NOT_OK(RunMultiplyOnWorker(step, w, out_grid, tasks,
@@ -1711,47 +1702,27 @@ class Executor::Impl {
     DMAC_CHECK(a.scheme() == b.scheme());
     auto c = NewData(step.output, a.grid().matrix);
     const OpKind kind = step.op_kind;
-
-    const bool broadcast = a.scheme() == Scheme::kBroadcast;
-    const int workers = broadcast ? 1 : opts_.num_workers;
-    for (int w = 0; w < workers; ++w) {
-      auto blocks = a.WorkerBlocks(w);
-      StoreSink sink(c.get(), w);
-      Status st = TimedWorker(step, w, [&] {
-        std::vector<std::function<Status()>> tasks;
-        tasks.reserve(blocks.size());
-        for (auto& [bi, bj, aptr] : blocks) {
-          auto bptr = b.Get(w, bi, bj);
-          if (bptr == nullptr) {
+    return MapBlocks(
+        step, a, c.get(), TaskKind::kElementwise, /*transpose=*/false,
+        [&b, kind](int w, int64_t bi, int64_t bj,
+                   const Block& ablk) -> Result<Block> {
+          const auto bblk = b.Get(w, bi, bj);
+          if (bblk == nullptr) {
             return Status::Internal("cell-wise op: operand block missing");
           }
-          tasks.push_back([&sink, kind, bi = bi, bj = bj, ablk = aptr,
-                           bblk = std::move(bptr)] {
-            Result<Block> res = [&]() -> Result<Block> {
-              switch (kind) {
-                case OpKind::kAdd:
-                  return Add(*ablk, *bblk);
-                case OpKind::kSubtract:
-                  return Subtract(*ablk, *bblk);
-                case OpKind::kCellMultiply:
-                  return CellMultiply(*ablk, *bblk);
-                case OpKind::kCellDivide:
-                  return CellDivide(*ablk, *bblk);
-                default:
-                  return Status::Internal("bad cell-wise kind");
-              }
-            }();
-            if (!res.ok()) return res.status();
-            sink(bi, bj, std::move(*res));
-            return Status::Ok();
-          });
-        }
-        return engine_.RunTasks(tasks, TaskKind::kElementwise);
-      });
-      DMAC_RETURN_NOT_OK(st);
-    }
-    if (broadcast) DMAC_RETURN_NOT_OK(ReplicateFromWorkerZero(c.get()));
-    return Status::Ok();
+          switch (kind) {
+            case OpKind::kAdd:
+              return Add(ablk, *bblk);
+            case OpKind::kSubtract:
+              return Subtract(ablk, *bblk);
+            case OpKind::kCellMultiply:
+              return CellMultiply(ablk, *bblk);
+            case OpKind::kCellDivide:
+              return CellDivide(ablk, *bblk);
+            default:
+              return Status::Internal("bad cell-wise kind");
+          }
+        });
   }
 
   Status ExecScalarOp(const PlanStep& step) {
@@ -1759,56 +1730,24 @@ class Executor::Impl {
     DMAC_ASSIGN_OR_RETURN(double scalar, EvalScalar(step.scalar, scalars_));
     auto c = NewData(step.output, a.grid().matrix);
     const bool add = step.op_kind == OpKind::kScalarAdd;
-
-    const bool broadcast = a.scheme() == Scheme::kBroadcast;
-    const int workers = broadcast ? 1 : opts_.num_workers;
-    for (int w = 0; w < workers; ++w) {
-      auto blocks = a.WorkerBlocks(w);
-      StoreSink sink(c.get(), w);
-      Status st = TimedWorker(step, w, [&] {
-        std::vector<std::function<Status()>> tasks;
-        tasks.reserve(blocks.size());
-        for (auto& [bi, bj, ptr] : blocks) {
-          tasks.push_back([&sink, add, scalar, bi = bi, bj = bj, blk = ptr] {
-            sink(bi, bj,
-                 add ? ScalarAdd(*blk, static_cast<Scalar>(scalar))
-                     : ScalarMultiply(*blk, static_cast<Scalar>(scalar)));
-            return Status::Ok();
-          });
-        }
-        return engine_.RunTasks(tasks, TaskKind::kElementwise);
-      });
-      DMAC_RETURN_NOT_OK(st);
-    }
-    if (broadcast) DMAC_RETURN_NOT_OK(ReplicateFromWorkerZero(c.get()));
-    return Status::Ok();
+    const Scalar v = static_cast<Scalar>(scalar);
+    return MapBlocks(step, a, c.get(), TaskKind::kElementwise,
+                     /*transpose=*/false,
+                     [add, v](int, int64_t, int64_t, const Block& blk) {
+                       return Result<Block>(add ? ScalarAdd(blk, v)
+                                                : ScalarMultiply(blk, v));
+                     });
   }
 
   Status ExecCellUnary(const PlanStep& step) {
     const DistMatrix& a = Data(step.inputs[0]);
     auto c = NewData(step.output, a.grid().matrix);
     const UnaryFnKind fn = step.unary_fn;
-
-    const bool broadcast = a.scheme() == Scheme::kBroadcast;
-    const int workers = broadcast ? 1 : opts_.num_workers;
-    for (int w = 0; w < workers; ++w) {
-      auto blocks = a.WorkerBlocks(w);
-      StoreSink sink(c.get(), w);
-      Status st = TimedWorker(step, w, [&] {
-        std::vector<std::function<Status()>> tasks;
-        tasks.reserve(blocks.size());
-        for (auto& [bi, bj, ptr] : blocks) {
-          tasks.push_back([&sink, fn, bi = bi, bj = bj, blk = ptr] {
-            sink(bi, bj, CellUnary(*blk, fn));
-            return Status::Ok();
-          });
-        }
-        return engine_.RunTasks(tasks, TaskKind::kElementwise);
-      });
-      DMAC_RETURN_NOT_OK(st);
-    }
-    if (broadcast) DMAC_RETURN_NOT_OK(ReplicateFromWorkerZero(c.get()));
-    return Status::Ok();
+    return MapBlocks(step, a, c.get(), TaskKind::kElementwise,
+                     /*transpose=*/false,
+                     [fn](int, int64_t, int64_t, const Block& blk) {
+                       return Result<Block>(CellUnary(blk, fn));
+                     });
   }
 
   /// Row/column sums. Three layouts (mirroring the strategy set): summing
@@ -1843,43 +1782,24 @@ class Executor::Impl {
       return acc;
     };
 
-    const Scheme aligned = rows ? Scheme::kRow : Scheme::kCol;
-    if (a.scheme() == aligned) {
+    const bool broadcast = a.scheme() == Scheme::kBroadcast;
+    if (broadcast || a.scheme() == (rows ? Scheme::kRow : Scheme::kCol)) {
       // Local: the worker owning a row (column) range owns every block that
-      // contributes to its slice of the result.
-      for (int w = 0; w < opts_.num_workers; ++w) {
+      // contributes to its slice of the result. A Broadcast input is summed
+      // once, on worker 0, and the result shared.
+      const int workers = broadcast ? 1 : opts_.num_workers;
+      for (int w = 0; w < workers; ++w) {
         Status st = TimedWorker(step, w, [&] {
           for (auto& [idx, acc] : local_partials(w)) {
-            auto block = std::make_shared<const Block>(
-                CompactFromDense(acc, opts_.density_threshold));
-            if (rows) {
-              c->Put(w, idx, 0, std::move(block));
-            } else {
-              c->Put(w, 0, idx, std::move(block));
-            }
+            c->Put(w, rows ? idx : 0, rows ? 0 : idx,
+                   std::make_shared<const Block>(
+                       CompactFromDense(acc, opts_.density_threshold)));
           }
           return Status::Ok();
         });
         DMAC_RETURN_NOT_OK(st);
       }
-      return Status::Ok();
-    }
-
-    if (a.scheme() == Scheme::kBroadcast) {
-      Status st = TimedWorker(step, 0, [&] {
-        for (auto& [idx, acc] : local_partials(0)) {
-          auto block = std::make_shared<const Block>(
-              CompactFromDense(acc, opts_.density_threshold));
-          if (rows) {
-            c->Put(0, idx, 0, std::move(block));
-          } else {
-            c->Put(0, 0, idx, std::move(block));
-          }
-        }
-        return Status::Ok();
-      });
-      DMAC_RETURN_NOT_OK(st);
-      return ReplicateFromWorkerZero(c.get());
+      return broadcast ? ReplicateFromWorkerZero(c.get()) : Status::Ok();
     }
 
     // Crossed: every worker holds a partial over the full output; shuffle

@@ -4,8 +4,10 @@ namespace dmac {
 
 namespace {
 
-const char* CommKindName(CommKind kind) {
-  return kind == CommKind::kBroadcast ? "broadcast" : "shuffle";
+std::string SpanArgs(CommKind kind, double bytes) {
+  return TraceArg("bytes", bytes) + "," +
+         TraceArg("kind", kind == CommKind::kBroadcast ? "broadcast"
+                                                       : "shuffle");
 }
 
 }  // namespace
@@ -27,20 +29,16 @@ void Transport::ChargeReduce() {
   }
   if (TraceRecorder::Global().enabled()) {
     TraceSpan span(kTraceComm, "reduce", -1,
-                   TraceArg("bytes", bytes) + "," +
-                       TraceArg("kind", CommKindName(CommKind::kShuffle)));
+                   SpanArgs(CommKind::kShuffle, bytes));
   }
 }
 
 void Transport::Count(CommKind kind, double bytes) {
-  // Bytes moved by recovery work stay out of the useful-communication
-  // totals.
+  // Recovery traffic stays out of the useful-communication totals.
   if (*recovering_) {
     stats_->recovery_bytes += bytes;
     ++stats_->recovery_events;
-    return;
-  }
-  if (kind == CommKind::kShuffle) {
+  } else if (kind == CommKind::kShuffle) {
     stats_->shuffle_bytes += bytes;
     ++stats_->shuffle_events;
     metric_shuffle_bytes_->Add(bytes);
@@ -62,6 +60,7 @@ Transport::Round::Round(Transport* transport, CommKind kind, std::string name,
 }
 
 void Transport::Round::ChargeRehash(double bytes) {
+  // A real hash shuffle still sends an expected (N-1)/N of the data away.
   const int n = transport_->num_workers_;
   bytes_ += bytes * (static_cast<double>(n - 1) / n);
 }
@@ -81,13 +80,10 @@ void Transport::Round::Enqueue(int from, int to, double bytes,
 
 void Transport::Round::Close() {
   transport_->Count(kind_, bytes_);
-  if (!TraceRecorder::Global().enabled()) return;
-  std::string args = TraceArg("bytes", bytes_) + "," +
-                     TraceArg("kind", CommKindName(kind_));
   if (span_.has_value()) {
-    span_->set_args(std::move(args));
-  } else {
-    TraceSpan span(kTraceComm, name_, -1, std::move(args));
+    span_->set_args(SpanArgs(kind_, bytes_));
+  } else if (TraceRecorder::Global().enabled()) {
+    TraceSpan span(kTraceComm, name_, -1, SpanArgs(kind_, bytes_));
   }
 }
 

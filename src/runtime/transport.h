@@ -8,13 +8,12 @@
 //    free; blocks read from storage are always charged, and a repartition
 //    onto an unchanged scheme charges the (N-1)/N a real hash shuffle moves;
 //  * a round counts once, as a shuffle or a broadcast event, in ExecStats
-//    and the runtime metrics, or, while the executor recovers, in
-//    recovery_bytes / recovery_events only;
+//    and the runtime metrics, or only in recovery_bytes / recovery_events
+//    while the executor recovers;
 //  * on the useful attempt of a run with a SimNetwork, a send between two
 //    slots is queued on the network (which draws its faults at send time)
 //    and delivered by Flush; every other send is delivered at once;
 //  * each round emits one `comm` trace span carrying its bytes and kind.
-//
 // Driver-thread only, like SimNetwork.
 #pragma once
 
@@ -24,13 +23,9 @@
 #include <string>
 #include <utility>
 
-#include "common/status.h"
-#include "fault/injector.h"
-#include "fault/retry_policy.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/exec_stats.h"
-#include "runtime/membership.h"
 #include "runtime/network.h"
 
 namespace dmac {
@@ -67,12 +62,11 @@ class Transport {
     return membership_ != nullptr ? membership_->HostOf(w) : w;
   }
 
-  /// Charges the driver-side reduce: one double from each worker. The
-  /// reduce rides the stage boundary, so it adds bytes but no round.
+  /// Charges the driver-side reduce: one double from each worker. It rides
+  /// the stage boundary, so it adds bytes but no round.
   void ChargeReduce();
 
  private:
-  /// Counts one finished round of `bytes`.
   void Count(CommKind kind, double bytes);
 
   int num_workers_;
@@ -80,7 +74,6 @@ class Transport {
   const bool* recovering_;
   const ClusterMembership* membership_ = nullptr;  // not owned; may be null
   std::unique_ptr<SimNetwork> net_;  // null unless EnableNetwork ran
-
   Counter* metric_shuffle_bytes_ =
       MetricRegistry::Global().counter(kMetricShuffleBytes);
   Counter* metric_broadcast_bytes_ =
@@ -92,7 +85,7 @@ class Transport {
 };
 
 /// One communication round: the sends of one exchange, counted as a single
-/// event when closed and delivered by one Flush.
+/// event by Close() and delivered by one Flush().
 class Transport::Round {
  public:
   /// `name` labels the round's span and its Flush errors. With
@@ -101,17 +94,15 @@ class Transport::Round {
   Round(Transport* transport, CommKind kind, std::string name,
         bool span_covers_round);
 
-  /// Charges a block read from storage onto workers. Storage sits off the
-  /// cluster, so the bytes always count.
+  /// Charges a block read from storage; storage is off the cluster.
   void ChargeLoad(double bytes) { bytes_ += bytes; }
 
-  /// Charges a block whose repartition keeps its scheme (and placement):
-  /// a real hash shuffle still moves an expected (N-1)/N of it.
+  /// Charges a block whose repartition keeps its scheme and placement.
   void ChargeRehash(double bytes);
 
-  /// Moves a `bytes`-sized block from slot `from` to slot `to`;
-  /// `deliver()` places it at the destination. A direct delivery calls
-  /// `deliver` at once and allocates nothing.
+  /// Moves a `bytes`-sized block from slot `from` to slot `to`; `deliver()`
+  /// places it. A direct delivery calls `deliver` at once and allocates
+  /// nothing.
   template <typename Deliver>
   void Send(int from, int to, double bytes, Deliver&& deliver) {
     if (Charge(from, to, bytes)) {
