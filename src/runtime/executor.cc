@@ -1604,7 +1604,9 @@ class Executor::Impl {
   /// `round_boundary()` runs between the last send and the flush. Each
   /// owner then sums its partials as kAggregate engine tasks, and output
   /// blocks that got no partial become empty blocks. Owners that received
-  /// nothing skip the summation unless `sum_on_idle_owners`.
+  /// nothing skip the summation unless `sum_on_idle_owners`: every timed
+  /// worker call draws from the fault injector, and the crossed sums have
+  /// always timed every owner while CPMM timed only those with partials.
   template <typename Produce, typename Boundary>
   Status ShuffleAndSum(const PlanStep& step, const char* name, DistMatrix* c,
                        Produce&& produce, Boundary&& round_boundary,
