@@ -77,7 +77,7 @@ Result<SearchResult> RunSearch(const OperatorList& ops,
   return SearchPlans(ops, popts, sopts, model);
 }
 
-/// Search; fills `info` and returns the winning plan.
+/// Runs the search; fills `info` and returns the winning plan.
 Result<Plan> SearchedPlan(const OperatorList& ops, const RunConfig& config,
                           RunSearchInfo* info) {
   DMAC_ASSIGN_OR_RETURN(SearchResult sres, RunSearch(ops, config));
