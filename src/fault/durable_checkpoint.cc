@@ -6,8 +6,11 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <set>
 #include <sstream>
+#include <string_view>
+#include <tuple>
 #include <unordered_map>
 
 #include "fault/checksum.h"
@@ -16,7 +19,7 @@ namespace dmac {
 
 namespace {
 
-constexpr char kManifestHeader[] = "DMACCKPT1";
+constexpr char kManifestHeader[] = "DMACCKPT2";
 constexpr char kManifestPrefix[] = "manifest-";
 
 std::string Hex64(uint64_t v) {
@@ -44,6 +47,26 @@ int64_t ManifestEpoch(const std::string& name) {
   const long long epoch = std::strtoll(name.c_str() + prefix, &end, 10);
   if (end != name.c_str() + name.size() || epoch < 1) return -1;
   return epoch;
+}
+
+bool AllDigits(std::string_view s) {
+  return !s.empty() && std::all_of(s.begin(), s.end(), [](char c) {
+    return c >= '0' && c <= '9';
+  });
+}
+
+/// True for the names this store creates — `manifest-<n>`,
+/// `blk-<epoch>-<seq>.bin`, and the `.tmp` files their atomic writes stage.
+/// Open's GC removes only these, so foreign files sharing the directory
+/// survive.
+bool IsStoreFile(std::string_view name) {
+  if (name.ends_with(".tmp")) name.remove_suffix(4);
+  if (ManifestEpoch(std::string(name)) >= 1) return true;
+  if (!name.starts_with("blk-") || !name.ends_with(".bin")) return false;
+  name = name.substr(4, name.size() - 8);
+  const size_t dash = name.find('-');
+  return dash != std::string_view::npos && AllDigits(name.substr(0, dash)) &&
+         AllDigits(name.substr(dash + 1));
 }
 
 /// Serializes a snapshot as the text manifest: header, body lines, and the
@@ -185,6 +208,9 @@ Result<std::unique_ptr<DurableCheckpointStore>> DurableCheckpointStore::Open(
       continue;
     }
     store->committed_ = std::move(snap);
+    for (const DurableBlock& b : store->committed_->blocks) {
+      store->content_checksum_[b.file] = b.checksum;
+    }
     break;
   }
   if (!store->committed_.has_value() && saw_corrupt) {
@@ -192,10 +218,11 @@ Result<std::unique_ptr<DurableCheckpointStore>> DurableCheckpointStore::Open(
                             ": no committed epoch survives verification");
   }
 
-  // Garbage-collect everything the chosen epoch does not own: older and
-  // partially-written epochs, unreferenced block files, and `*.tmp` crash
-  // debris. After Open the directory holds exactly one committed snapshot
-  // (or nothing).
+  // Garbage-collect every store file the chosen epoch does not reference:
+  // older and partially-written epochs, unreferenced block files, and
+  // `*.tmp` crash debris. After Open the store's files are exactly one
+  // committed snapshot (or nothing); anything else in the directory is
+  // not ours and stays.
   std::set<std::string> keep;
   if (store->committed_.has_value()) {
     keep.insert(kManifestPrefix + std::to_string(store->committed_->epoch));
@@ -204,7 +231,9 @@ Result<std::unique_ptr<DurableCheckpointStore>> DurableCheckpointStore::Open(
     }
   }
   for (const std::string& name : names) {
-    if (keep.count(name) == 0) store->io_->Remove(store->PathFor(name));
+    if (IsStoreFile(name) && keep.count(name) == 0) {
+      store->io_->Remove(store->PathFor(name));
+    }
   }
 
   // Epochs count monotonically past everything ever seen in the directory,
@@ -251,31 +280,61 @@ Status DurableCheckpointStore::Commit(
   }
   snap.reload_nodes = reload_nodes;
 
-  // Write the (payload-deduplicated) block files first, then the manifest:
-  // its atomic rename is the commit point. On any failure, roll this
-  // epoch's files back — when the failure is an injected crash the Remove
-  // calls are no-ops (a dead process cleans nothing up) and the debris is
-  // left for the next Open's GC, exactly like a real crash.
+  // Files of the committed epoch that may be referenced again: keyed by the
+  // cluster position and checksum they were written for, and only when
+  // their bytes are known to hash to that checksum. A file written from a
+  // payload that disagreed with its recorded checksum is never reused, so
+  // the next epoch rewrites (and heals) it.
+  using Position = std::tuple<int, int, int64_t, uint64_t>;
+  std::map<Position, const std::string*> reusable;
+  if (committed_.has_value()) {
+    for (const DurableBlock& b : committed_->blocks) {
+      const auto it = content_checksum_.find(b.file);
+      if (it != content_checksum_.end() && it->second == b.checksum) {
+        reusable.emplace(Position{b.node_id, b.worker, b.key, b.checksum},
+                         &b.file);
+      }
+    }
+  }
+
+  // Write the changed (payload-deduplicated) block files first, then the
+  // manifest: its atomic rename is the commit point. On any failure, roll
+  // back the files this epoch wrote — never a reused one. When the failure
+  // is an injected crash the Remove calls are no-ops (a dead process cleans
+  // nothing up) and the debris is left for the next Open's GC, exactly like
+  // a real crash.
   std::vector<std::string> written;
   const auto rollback = [this, &written]() {
     for (const std::string& name : written) io_->Remove(PathFor(name));
   };
   std::unordered_map<const Block*, std::string> file_of;
+  std::unordered_map<std::string, uint64_t> content_checksum;
   int64_t pending_bytes = 0;
   int seq = 0;
   for (const PendingDurableBlock& pb : blocks) {
     auto [it, inserted] = file_of.try_emplace(pb.block.get());
     if (inserted) {
-      it->second = "blk-" + std::to_string(snap.epoch) + "-" +
-                   std::to_string(seq++) + ".bin";
-      const std::string data = SerializeBlock(*pb.block);
-      const Status st = io_->WriteFileAtomic(PathFor(it->second), data);
-      if (!st.ok()) {
-        rollback();
-        return st;
+      // A reused file is claimed by one payload only, so the manifest
+      // groups positions into files exactly as a full rewrite would.
+      const auto reuse =
+          reusable.find(Position{pb.node_id, pb.worker, pb.key, pb.checksum});
+      if (reuse != reusable.end() &&
+          content_checksum.try_emplace(*reuse->second, pb.checksum).second) {
+        it->second = *reuse->second;
+      } else {
+        it->second = "blk-" + std::to_string(snap.epoch) + "-" +
+                     std::to_string(seq++) + ".bin";
+        uint64_t sum = kNoChecksum;
+        const std::string data = SerializeBlock(*pb.block, &sum);
+        const Status st = io_->WriteFileAtomic(PathFor(it->second), data);
+        if (!st.ok()) {
+          rollback();
+          return st;
+        }
+        written.push_back(it->second);
+        content_checksum.emplace(it->second, sum);
+        pending_bytes += static_cast<int64_t>(data.size());
       }
-      written.push_back(it->second);
-      pending_bytes += static_cast<int64_t>(data.size());
     }
     snap.blocks.push_back(
         DurableBlock{pb.node_id, pb.worker, pb.key, pb.checksum, it->second});
@@ -289,14 +348,16 @@ Status DurableCheckpointStore::Commit(
   }
   pending_bytes += static_cast<int64_t>(manifest.size());
 
-  // Committed: the previous epoch's files are now garbage.
+  // Committed: the previous manifest, and every previous block file the new
+  // manifest no longer references, are now garbage.
   if (committed_.has_value()) {
     io_->Remove(PathFor(kManifestPrefix + std::to_string(committed_->epoch)));
-    std::set<std::string> old_files;
-    for (const DurableBlock& b : committed_->blocks) old_files.insert(b.file);
-    for (const std::string& name : old_files) io_->Remove(PathFor(name));
+    for (const auto& [name, sum] : content_checksum_) {
+      if (content_checksum.count(name) == 0) io_->Remove(PathFor(name));
+    }
   }
   committed_ = std::move(snap);
+  content_checksum_ = std::move(content_checksum);
   next_epoch_ = committed_->epoch + 1;
   bytes_written_ += pending_bytes;
   ++epochs_committed_;

@@ -5,26 +5,45 @@
 // block format (fault/durable_io.h) plus versioned manifests:
 //
 //   blk-<epoch>-<seq>.bin   one serialized block payload (deduplicated:
-//                           Broadcast replicas share one file)
-//   manifest-<epoch>        text manifest naming every block of the epoch,
-//                           the scalar environment, and the resume step,
-//                           ending in a line `end <fnv64>` over the body
+//                           Broadcast replicas share one file), named for
+//                           the epoch that wrote it
+//   manifest-<epoch>        text manifest (header DMACCKPT2) naming every
+//                           block of the epoch, the scalar environment, and
+//                           the resume step, ending in `end <fnv64>` over
+//                           the body
 //
-// Commit protocol: write every block file, then the manifest, each by
-// write-temp → fsync → atomic-rename. The manifest rename *is* the commit
-// point — a crash anywhere earlier leaves the previous epoch intact and
-// only `*.tmp` / unreferenced debris behind, which Open() garbage-collects.
-// Open() scans manifests newest-first: a manifest without a valid footer is
-// crash debris and is skipped (rolled back); a footer-valid manifest whose
-// body or block files fail verification is *corruption* — Open falls back
-// to the previous committed epoch if one verifies, and otherwise fails with
-// a clean kDataLoss. It never yields a partially-restorable snapshot.
+// Epochs are incremental: a block whose cluster position and checksum are
+// unchanged since the committed epoch keeps that epoch's file, so a later
+// manifest may reference files written by earlier epochs, and while two
+// manifests coexist they can share files. A file is reused only when it is
+// known to hash to its checksum — this store wrote it from a payload whose
+// checksum matched the recorded one, or Open verified it. Reusing it is
+// then byte-for-byte what rewriting a payload that matches its recorded
+// checksum would produce, and a corrupt file is never carried forward.
+//
+// Commit protocol: write every changed block file, then the manifest, each
+// by write-temp → fsync → atomic-rename. The manifest rename *is* the
+// commit point — a crash anywhere earlier leaves the previous epoch intact
+// and only `*.tmp` / unreferenced debris behind, which Open()
+// garbage-collects. Only after the rename are the previous manifest and
+// the previous files the new manifest no longer references removed. This
+// is crash-consistent for process death; the directory is not fsynced
+// after a rename, so durability across power loss is not claimed.
+//
+// Open() scans manifests newest-first: a manifest without a valid footer
+// is crash debris and is skipped (rolled back); a footer-valid manifest
+// whose body or block files fail verification is *corruption* — Open falls
+// back to the previous committed epoch if one verifies, and otherwise fails
+// with a clean kDataLoss, deleting nothing. It never yields a
+// partially-restorable snapshot. Its GC removes only the store's own names
+// (manifests, block files and their `*.tmp`), never a foreign file.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -95,18 +114,21 @@ class DurableCheckpointStore {
   /// kDataLoss on a missing, corrupt, or mismatching file.
   [[nodiscard]] Result<Block> ReadBlock(const DurableBlock& ref) const;
 
-  /// Commits a new epoch: writes every (deduplicated) block file, then the
-  /// manifest — the atomic rename of which is the commit point. On any
-  /// disk error this epoch's files are rolled back, the previous committed
-  /// epoch stays intact, and the error is returned. On success the
-  /// previous epoch's files are garbage-collected.
+  /// Commits a new epoch: writes every changed (deduplicated) block file,
+  /// reusing the committed epoch's known-good file for each block whose
+  /// position and checksum are unchanged, then the manifest — the atomic
+  /// rename of which is the commit point. On any disk error the files this
+  /// epoch wrote are rolled back, the previous committed epoch stays
+  /// intact, and the error is returned. On success the previous manifest
+  /// and the previous files no longer referenced are garbage-collected.
   [[nodiscard]] Status Commit(
       int resume_step, int64_t checkpoint_counter,
       const std::vector<std::pair<std::string, double>>& scalars,
       const std::vector<int>& reload_nodes,
       const std::vector<PendingDurableBlock>& blocks);
 
-  /// Bytes successfully committed (block files + manifests) so far.
+  /// Bytes written by successful commits (new block files + manifests) so
+  /// far; reused files cost nothing.
   int64_t bytes_written() const { return bytes_written_; }
 
   /// Epochs committed by this instance (not counting the one recovered by
@@ -126,6 +148,9 @@ class DurableCheckpointStore {
   const std::string dir_;
   const std::shared_ptr<StorageIO> io_;
   std::optional<DurableSnapshot> committed_;
+  /// Every block file of the committed epoch, mapped to the checksum its
+  /// bytes are known to hash to (what Commit may reuse).
+  std::unordered_map<std::string, uint64_t> content_checksum_;
   int64_t next_epoch_ = 1;
   int64_t bytes_written_ = 0;
   int64_t epochs_committed_ = 0;

@@ -15,7 +15,7 @@ namespace dmac {
 
 namespace {
 
-constexpr char kMagic[8] = {'D', 'M', 'A', 'C', 'S', 'P', 'L', '1'};
+constexpr char kMagic[8] = {'D', 'M', 'A', 'C', 'S', 'P', 'L', '2'};
 constexpr uint32_t kKindDense = 0;
 constexpr uint32_t kKindSparse = 1;
 
@@ -65,7 +65,7 @@ Status MapWriteErrno(int err, const std::string& path) {
 
 }  // namespace
 
-std::string SerializeBlock(const Block& block) {
+std::string SerializeBlock(const Block& block, uint64_t* checksum) {
   std::string out;
   Append(&out, kMagic, sizeof(kMagic));
   AppendOne<uint32_t>(&out, block.IsDense() ? kKindDense : kKindSparse);
@@ -82,7 +82,9 @@ std::string SerializeBlock(const Block& block) {
     Append(&out, s.row_idx().data(), sizeof(int32_t) * s.row_idx().size());
     Append(&out, s.values().data(), sizeof(Scalar) * s.values().size());
   }
-  AppendOne<uint64_t>(&out, BlockChecksum(block));
+  const uint64_t sum = BlockChecksum(block);
+  AppendOne<uint64_t>(&out, sum);
+  if (checksum != nullptr) *checksum = sum;
   return out;
 }
 

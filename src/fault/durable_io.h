@@ -38,10 +38,14 @@
 namespace dmac {
 
 /// Serializes `block` in the self-describing spill format (the byte layout
-/// documented in governor/spill_store.h — magic "DMACSPL1", kind, dims,
-/// payload, trailing FNV-1a checksum). SpillStore files and durable
-/// checkpoint block files share this format bit-for-bit.
-std::string SerializeBlock(const Block& block);
+/// documented in governor/spill_store.h — magic "DMACSPL2", kind, dims,
+/// payload, trailing BlockChecksum). SpillStore files and durable
+/// checkpoint block files share this format bit-for-bit. The magic's
+/// version names the checksum function, so a file hashed with another one
+/// fails to parse instead of failing verification. When `checksum` is
+/// non-null it receives the trailing checksum, so a caller can compare the
+/// payload against a recorded checksum without hashing it twice.
+std::string SerializeBlock(const Block& block, uint64_t* checksum = nullptr);
 
 /// Parses a serialized block. `kDataLoss` on a corrupt or truncated buffer
 /// or a checksum mismatch; a corrupt header is size-guarded against the

@@ -5,10 +5,11 @@
 // file is a self-describing snapshot of one block in the shared serialized
 // block format (fault/durable_io.h):
 //
-//   magic "DMACSPL1" | kind u32 | rows i64 | cols i64
+//   magic "DMACSPL2" | kind u32 | rows i64 | cols i64
 //   dense:  scalar payload (rows*cols floats, column-major)
 //   sparse: nnz i64 | col_ptr i32[cols+1] | row_idx i32[nnz] | values f32[nnz]
-//   checksum u64   — FNV-1a BlockChecksum of the block (fault/checksum.h)
+//   checksum u64   — word-parallel BlockChecksum of the block
+//                    (fault/checksum.h)
 //
 // Every byte moves through a StorageIO, so disk faults (short writes,
 // ENOSPC, read-side bit flips, crash points) inject here too, and error

@@ -82,7 +82,7 @@ struct ExecStats {
 
   // --- Durable checkpoints & crash restart (docs/fault_tolerance.md,
   // "Durability & restart"). All zero without --checkpoint-dir.
-  int64_t durable_checkpoint_bytes = 0;  // committed to disk (blocks+manifests)
+  int64_t durable_checkpoint_bytes = 0;  // written (new blocks+manifests)
   int64_t durable_epochs = 0;            // checkpoint epochs committed
   int64_t checkpoint_failures = 0;       // durable commits that failed (run continued)
   int64_t disk_faults_injected = 0;      // faults drawn by the StorageIO layer

@@ -1047,8 +1047,9 @@ class Executor::Impl {
       // Snapshot the *recorded* checksums, deliberately not re-stamping:
       // re-hashing here would launder a boundary-injected corruption into
       // the manifest. A payload that disagrees with its recorded checksum
-      // fails verification at Open and the epoch falls back — conservative
-      // and safe.
+      // either keeps the committed epoch's verified file for its position
+      // or is written as a file that fails verification at Open, and the
+      // epoch falls back — conservative and safe.
       const int64_t bcols = dm->grid().block_cols();
       for (int w = 0; w < opts_.num_workers; ++w) {
         for (int64_t key : dm->SortedWorkerKeys(w)) {

@@ -1,14 +1,16 @@
 // DurableCheckpointStore contract: the manifest rename is the commit
-// point. Commits either land whole or roll back whole; Open() recovers the
-// newest fully-verifiable epoch, treats footer-invalid manifests as
-// corruption (fall back or fail kDataLoss — never a partial restore), and
-// garbage-collects every file it does not keep.
+// point. Commits either land whole or roll back whole and write only the
+// blocks that changed; Open() recovers the newest fully-verifiable epoch,
+// treats footer-invalid manifests as corruption (fall back or fail
+// kDataLoss — never a partial restore), and garbage-collects every store
+// file it does not keep, and nothing else.
 #include "fault/durable_checkpoint.h"
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
@@ -20,6 +22,7 @@
 #include "common/status.h"
 #include "fault/checksum.h"
 #include "fault/fault_spec.h"
+#include "fault/injector.h"
 #include "matrix/block.h"
 
 namespace dmac {
@@ -305,6 +308,291 @@ TEST(DurableCheckpointTest, CorruptBlockFileFallsBackToPreviousEpoch) {
       DurableCheckpointStore::Open(dir.path, std::make_shared<StorageIO>());
   ASSERT_FALSE(store.ok());
   EXPECT_EQ(store.status().code(), StatusCode::kDataLoss) << store.status();
+}
+
+std::set<std::string> BlockFiles(const std::string& dir) {
+  std::set<std::string> names;
+  for (const std::string& name : FileNames(dir)) {
+    if (name.rfind("blk-", 0) == 0) names.insert(name);
+  }
+  return names;
+}
+
+std::set<std::string> ReferencedFiles(const DurableSnapshot& snap) {
+  std::set<std::string> files;
+  for (const DurableBlock& b : snap.blocks) files.insert(b.file);
+  return files;
+}
+
+int64_t FileSize(const std::string& path) {
+  return static_cast<int64_t>(fs::file_size(path));
+}
+
+/// Writes `data` over `path`.
+void Overwrite(const std::string& path, const std::string& data) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(data.data(), static_cast<std::streamsize>(data.size()));
+}
+
+/// The two epochs of an incremental commit: `unchanged` is shared by two
+/// positions of node 1 in both; node 2's block changes between them; node
+/// 3 appears only in the second.
+struct IncrementalSample {
+  std::shared_ptr<const Block> unchanged =
+      std::make_shared<const Block>(RandomDenseBlock(8, 8, 1));
+  std::shared_ptr<const Block> old_sparse =
+      std::make_shared<const Block>(RandomSparseBlock(16, 16, 0.3, 2));
+  std::shared_ptr<const Block> new_sparse =
+      std::make_shared<const Block>(RandomSparseBlock(16, 16, 0.3, 3));
+  std::shared_ptr<const Block> added =
+      std::make_shared<const Block>(RandomDenseBlock(4, 4, 4));
+
+  Status CommitFirst(DurableCheckpointStore* store) const {
+    return store->Commit(4, 5, {{"err", 0.5}}, {},
+                         {Pending(1, 0, 0, unchanged),
+                          Pending(1, 1, 3, unchanged),
+                          Pending(2, 2, 5, old_sparse)});
+  }
+  Status CommitSecond(DurableCheckpointStore* store) const {
+    return store->Commit(9, 10, {{"err", 0.25}}, {},
+                         {Pending(1, 0, 0, unchanged),
+                          Pending(1, 1, 3, unchanged),
+                          Pending(2, 2, 5, new_sparse),
+                          Pending(3, 0, 1, added)});
+  }
+};
+
+TEST(DurableCheckpointTest, UnchangedBlockIsWrittenOnceAndKeepsItsFile) {
+  TempDir dir("incremental");
+  const IncrementalSample sample;
+  auto store = MustOpen(dir.path);
+  ASSERT_TRUE(sample.CommitFirst(store.get()).ok());
+  const std::string shared = store->committed()->blocks[0].file;
+  const std::string old_sparse = store->committed()->blocks[2].file;
+  const int64_t after_first = store->bytes_written();
+
+  ASSERT_TRUE(sample.CommitSecond(store.get()).ok());
+  const DurableSnapshot& snap = *store->committed();
+  ASSERT_EQ(snap.blocks.size(), 4u);
+  // The unchanged payload keeps epoch 1's file at both of its positions.
+  EXPECT_EQ(snap.blocks[0].file, shared);
+  EXPECT_EQ(snap.blocks[1].file, shared);
+  // Only the manifest and the two changed blocks were written.
+  const std::string manifest = "manifest-" + std::to_string(snap.epoch);
+  EXPECT_EQ(store->bytes_written() - after_first,
+            FileSize(dir.path + "/" + manifest) +
+                static_cast<int64_t>(SerializeBlock(*sample.new_sparse).size() +
+                                     SerializeBlock(*sample.added).size()));
+  // GC kept the shared file and dropped the superseded one.
+  EXPECT_EQ(BlockFiles(dir.path), ReferencedFiles(snap));
+  EXPECT_EQ(BlockFiles(dir.path).count(old_sparse), 0u);
+
+  // A third epoch with nothing changed writes only its manifest, and the
+  // file names survive another GC and a reopen.
+  const int64_t after_second = store->bytes_written();
+  ASSERT_TRUE(sample.CommitSecond(store.get()).ok());
+  const std::string third =
+      "manifest-" + std::to_string(store->committed()->epoch);
+  EXPECT_EQ(store->bytes_written() - after_second,
+            FileSize(dir.path + "/" + third));
+  EXPECT_EQ(ReferencedFiles(*store->committed()), ReferencedFiles(snap));
+  auto reopened = MustOpen(dir.path);
+  ASSERT_NE(reopened->committed(), nullptr);
+  EXPECT_EQ(reopened->committed()->blocks[0].file, shared);
+  EXPECT_EQ(BlockFiles(dir.path), ReferencedFiles(*reopened->committed()));
+  for (const DurableBlock& ref : reopened->committed()->blocks) {
+    EXPECT_TRUE(reopened->ReadBlock(ref).ok()) << ref.file;
+  }
+}
+
+TEST(DurableCheckpointTest, ChangedChecksumWritesANewFile) {
+  TempDir dir("changed");
+  const IncrementalSample sample;
+  auto store = MustOpen(dir.path);
+  ASSERT_TRUE(sample.CommitFirst(store.get()).ok());
+  const std::string old_file = store->committed()->blocks[2].file;
+  ASSERT_TRUE(sample.CommitSecond(store.get()).ok());
+  const std::string new_file = store->committed()->blocks[2].file;
+  EXPECT_NE(new_file, old_file);
+  EXPECT_EQ(new_file.rfind("blk-2-", 0), 0u) << new_file;
+  auto block = store->ReadBlock(store->committed()->blocks[2]);
+  ASSERT_TRUE(block.ok()) << block.status();
+  EXPECT_EQ(BlockChecksum(*block), BlockChecksum(*sample.new_sparse));
+}
+
+TEST(DurableCheckpointTest, FileOfAMismatchingPayloadIsNeverReused) {
+  TempDir dir("mismatch");
+  const auto good = std::make_shared<const Block>(RandomDenseBlock(8, 8, 5));
+  // Epoch 1 records good's checksum over a corrupt payload: the file it
+  // writes cannot verify, so it must not be carried forward.
+  PendingDurableBlock corrupt = Pending(1, 0, 0, good);
+  corrupt.block = std::make_shared<const Block>(CorruptedCopy(*good, 7));
+  auto store = MustOpen(dir.path);
+  ASSERT_TRUE(store->Commit(4, 5, {}, {}, {corrupt}).ok());
+  const std::string bad_file = store->committed()->blocks[0].file;
+  EXPECT_FALSE(store->ReadBlock(store->committed()->blocks[0]).ok());
+
+  // Epoch 2 has the same position and checksum over the repaired payload:
+  // it writes a fresh file, and the store verifies again.
+  ASSERT_TRUE(store->Commit(9, 10, {}, {}, {Pending(1, 0, 0, good)}).ok());
+  EXPECT_NE(store->committed()->blocks[0].file, bad_file);
+  EXPECT_EQ(BlockFiles(dir.path).count(bad_file), 0u);
+  auto reopened = MustOpen(dir.path);
+  ASSERT_NE(reopened->committed(), nullptr);
+  EXPECT_EQ(reopened->committed()->resume_step, 9);
+}
+
+TEST(DurableCheckpointTest, EnospcRollbackOfIncrementalCommitRestoresTheDir) {
+  TempDir dir("incremental_rollback");
+  const IncrementalSample sample;
+  int rolled_back_after_a_write = 0;
+  for (uint64_t seed = 1; seed <= 16; ++seed) {
+    fs::remove_all(dir.path);
+    {
+      auto store = MustOpen(dir.path);
+      ASSERT_TRUE(sample.CommitFirst(store.get()).ok());
+    }
+    const std::set<std::string> before = FileNames(dir.path);
+    DiskFaultSpec spec;
+    spec.enospc_prob = 0.5;
+    auto io = std::make_shared<StorageIO>(spec, seed);
+    auto store = MustOpen(dir.path, io);
+    const Status st = sample.CommitSecond(store.get());
+    if (st.ok()) continue;
+    EXPECT_EQ(st.code(), StatusCode::kResourceExhausted) << st;
+    // Each completed write crosses three write points: this commit wrote
+    // a file before failing, and rolling it back must not touch the files
+    // the previous epoch shares with it.
+    if (io->write_points() > 0) ++rolled_back_after_a_write;
+    EXPECT_EQ(FileNames(dir.path), before) << "seed " << seed;
+    ASSERT_NE(store->committed(), nullptr);
+    EXPECT_EQ(store->committed()->resume_step, 4);
+    for (const DurableBlock& ref : store->committed()->blocks) {
+      EXPECT_TRUE(store->ReadBlock(ref).ok()) << "seed " << seed;
+    }
+  }
+  EXPECT_GT(rolled_back_after_a_write, 0);
+}
+
+TEST(DurableCheckpointTest, CrashDuringIncrementalCommitNeverLosesASharedFile) {
+  TempDir dir("incremental_crash");
+  const IncrementalSample sample;
+  bool completed = false;
+  for (int crash_at = 1; !completed; ++crash_at) {
+    ASSERT_LE(crash_at, 30) << "commit never completed";
+    fs::remove_all(dir.path);
+    std::string shared;
+    {
+      auto store = MustOpen(dir.path);
+      ASSERT_TRUE(sample.CommitFirst(store.get()).ok());
+      shared = store->committed()->blocks[0].file;
+    }
+    const std::set<std::string> before = FileNames(dir.path);
+    DiskFaultSpec spec;
+    spec.crash_at = crash_at;
+    auto io = std::make_shared<StorageIO>(spec, /*seed=*/1,
+                                          StorageIO::CrashMode::kSoft);
+    auto store = MustOpen(dir.path, io);
+    const Status st = sample.CommitSecond(store.get());
+    completed = st.ok();
+    if (!completed) {
+      EXPECT_EQ(st.code(), StatusCode::kInternal) << st;
+    }
+
+    auto reopened = MustOpen(dir.path);
+    const DurableSnapshot* snap = reopened->committed();
+    ASSERT_NE(snap, nullptr) << "crash_at " << crash_at;
+    const int resume = snap->resume_step;
+    EXPECT_TRUE(resume == 4 || resume == 9)
+        << "crash_at " << crash_at << " resume_step " << resume;
+    if (resume == 4) {
+      EXPECT_EQ(FileNames(dir.path), before) << "crash_at " << crash_at;
+    }
+    EXPECT_EQ(snap->blocks[0].file, shared) << "crash_at " << crash_at;
+    EXPECT_EQ(BlockFiles(dir.path), ReferencedFiles(*snap))
+        << "crash_at " << crash_at;
+    for (const DurableBlock& ref : snap->blocks) {
+      EXPECT_TRUE(reopened->ReadBlock(ref).ok())
+          << "crash_at " << crash_at << " " << ref.file;
+    }
+  }
+}
+
+TEST(DurableCheckpointTest, GcLeavesForeignFilesAlone) {
+  TempDir dir("foreign");
+  fs::create_directories(dir.path + "/results");
+  fs::create_directories(dir.path + "/empty");
+  Overwrite(dir.path + "/results/run.csv", "a,b\n");
+  const std::vector<std::string> foreign = {
+      "notes.txt", "results.csv", "blk-notes.bin", "manifest-x",
+      "blk-1-2.bin.bak", "manifest-3.old"};
+  for (const std::string& name : foreign) {
+    Overwrite(dir.path + "/" + name, "not a checkpoint file\n");
+  }
+  // Stale store files of an epoch no manifest commits are collected.
+  Overwrite(dir.path + "/blk-7-0.bin", "stale");
+  Overwrite(dir.path + "/manifest-8.tmp", "torn");
+  {
+    auto store = MustOpen(dir.path);
+    CommitSample(store.get(), 4, 0.5);
+    CommitSample(store.get(), 9, 0.25);
+  }
+  auto store = MustOpen(dir.path);
+  CommitSample(store.get(), 12, 0.125);
+  store = MustOpen(dir.path);
+  ASSERT_NE(store->committed(), nullptr);
+  EXPECT_EQ(store->committed()->resume_step, 12);
+
+  std::set<std::string> names = FileNames(dir.path);
+  for (const std::string& name : foreign) {
+    EXPECT_EQ(names.erase(name), 1u) << name << " was deleted";
+  }
+  EXPECT_TRUE(fs::is_directory(dir.path + "/empty"));
+  EXPECT_TRUE(fs::exists(dir.path + "/results/run.csv"));
+  names.erase("empty");
+  names.erase("results");
+  // What remains is exactly the store's committed epoch.
+  std::set<std::string> want = ReferencedFiles(*store->committed());
+  want.insert("manifest-" + std::to_string(store->committed()->epoch));
+  EXPECT_EQ(names, want);
+}
+
+TEST(DurableCheckpointTest, VersionOneManifestFailsCleanAndDeletesNothing) {
+  TempDir dir("v1");
+  {
+    auto store = MustOpen(dir.path);
+    CommitSample(store.get(), 4, 0.5);
+  }
+  // Re-tag the committed manifest as the previous format, with a valid
+  // footer: the block files it names hold checksums of another hash, so
+  // the store must refuse it rather than verify against them.
+  std::string manifest_name;
+  for (const std::string& name : FileNames(dir.path)) {
+    if (name.rfind("manifest-", 0) == 0) manifest_name = name;
+  }
+  ASSERT_FALSE(manifest_name.empty());
+  const std::string path = dir.path + "/" + manifest_name;
+  std::string data;
+  {
+    std::ifstream in(path, std::ios::binary);
+    data.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  }
+  ASSERT_EQ(data.rfind("DMACCKPT2\n", 0), 0u);
+  data[8] = '1';
+  std::string body = data.substr(0, data.rfind("end "));
+  char footer[32];
+  std::snprintf(footer, sizeof(footer), "end %016llx\n",
+                static_cast<unsigned long long>(
+                    Fnv1a(body.data(), body.size(), 0)));
+  Overwrite(path, body + footer);
+  const std::set<std::string> before = FileNames(dir.path);
+
+  auto store =
+      DurableCheckpointStore::Open(dir.path, std::make_shared<StorageIO>());
+  ASSERT_FALSE(store.ok());
+  EXPECT_EQ(store.status().code(), StatusCode::kDataLoss) << store.status();
+  EXPECT_EQ(FileNames(dir.path), before);
 }
 
 TEST(DurableCheckpointTest, FreshDirectoryIsAFreshStart) {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -124,6 +125,68 @@ TEST(ChecksumTest, SensitiveToEveryPayloadByte) {
   EXPECT_NE(before, kNoChecksum);
   block.dense().Set(3, 4, block.dense().At(3, 4) + 1e-6f);
   EXPECT_NE(BlockChecksum(block), before);
+}
+
+/// Flips bit `bit` of the array `v` in place.
+template <typename T>
+void FlipBitOf(std::vector<T>* v, size_t bit) {
+  auto* bytes = reinterpret_cast<unsigned char*>(v->data());
+  bytes[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
+}
+
+TEST(ChecksumTest, EveryDensePayloadBitFlipChangesTheChecksum) {
+  // 5x3 floats: 60 bytes, so the hash sees full 32-byte rounds, whole
+  // trailing words, and a partial last word.
+  const Block original = RandomDenseBlock(5, 3, 11);
+  const uint64_t before = BlockChecksum(original);
+  const size_t bits = sizeof(Scalar) * 15 * 8;
+  for (size_t bit = 0; bit < bits; ++bit) {
+    DenseBlock d = original.dense();
+    auto* bytes = reinterpret_cast<unsigned char*>(d.data());
+    bytes[bit / 8] ^= static_cast<unsigned char>(1u << (bit % 8));
+    EXPECT_NE(BlockChecksum(Block(std::move(d))), before) << "bit " << bit;
+  }
+}
+
+TEST(ChecksumTest, EverySparsePayloadBitFlipChangesTheChecksum) {
+  const Block original = RandomSparseBlock(12, 9, 0.3, 12);
+  const CscBlock& s = original.sparse();
+  ASSERT_GT(s.nnz(), 8);
+  const uint64_t before = BlockChecksum(original);
+  const auto rebuild = [&](std::vector<int32_t> col_ptr,
+                           std::vector<int32_t> row_idx,
+                           std::vector<Scalar> values) {
+    return BlockChecksum(Block(CscBlock(s.rows(), s.cols(), std::move(col_ptr),
+                                        std::move(row_idx),
+                                        std::move(values))));
+  };
+  for (size_t bit = 0; bit < 8 * sizeof(Scalar) * s.values().size(); ++bit) {
+    std::vector<Scalar> values = s.values();
+    FlipBitOf(&values, bit);
+    EXPECT_NE(rebuild(s.col_ptr(), s.row_idx(), std::move(values)), before)
+        << "values bit " << bit;
+  }
+  for (size_t bit = 0; bit < 8 * sizeof(int32_t) * s.row_idx().size(); ++bit) {
+    std::vector<int32_t> row_idx = s.row_idx();
+    FlipBitOf(&row_idx, bit);
+    EXPECT_NE(rebuild(s.col_ptr(), std::move(row_idx), s.values()), before)
+        << "row_idx bit " << bit;
+  }
+  // Column pointers must stay a valid CSC structure to build a block at
+  // all; every flip that does is checked.
+  int col_ptr_flips = 0;
+  for (size_t bit = 0; bit < 8 * sizeof(int32_t) * s.col_ptr().size(); ++bit) {
+    std::vector<int32_t> col_ptr = s.col_ptr();
+    FlipBitOf(&col_ptr, bit);
+    if (col_ptr.front() != 0 || col_ptr.back() != s.nnz() ||
+        !std::is_sorted(col_ptr.begin(), col_ptr.end())) {
+      continue;
+    }
+    ++col_ptr_flips;
+    EXPECT_NE(rebuild(std::move(col_ptr), s.row_idx(), s.values()), before)
+        << "col_ptr bit " << bit;
+  }
+  EXPECT_GT(col_ptr_flips, 0);
 }
 
 TEST(ChecksumTest, RepresentationIsPartOfTheHash) {

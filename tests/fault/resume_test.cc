@@ -8,12 +8,14 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "apps/runner.h"
 #include "common/status.h"
+#include "fault/durable_checkpoint.h"
 #include "fault_test_util.h"
 
 namespace dmac {
@@ -87,15 +89,28 @@ TEST(ResumeTest, KillAtEveryWritePointConvergesBitIdentically) {
                              " crash-resume iterations");
 
       // Zero stale or partial files: only the final epoch's manifest and
-      // its referenced blocks remain.
+      // its referenced blocks remain — no orphan block file, and no block
+      // the manifest names is missing. The listing is taken before Open,
+      // whose GC would hide an orphan.
       int64_t manifests = 0;
+      std::set<std::string> block_files;
       for (const auto& entry : fs::directory_iterator(dir.path)) {
         const std::string name = entry.path().filename().string();
         EXPECT_EQ(name.find(".tmp"), std::string::npos)
             << "partial file " << name << " leaked";
         if (name.rfind("manifest-", 0) == 0) ++manifests;
+        if (name.rfind("blk-", 0) == 0) block_files.insert(name);
       }
       EXPECT_EQ(manifests, 1);
+      auto store = DurableCheckpointStore::Open(dir.path,
+                                                std::make_shared<StorageIO>());
+      ASSERT_TRUE(store.ok()) << store.status();
+      ASSERT_NE((*store)->committed(), nullptr);
+      std::set<std::string> referenced;
+      for (const DurableBlock& b : (*store)->committed()->blocks) {
+        referenced.insert(b.file);
+      }
+      EXPECT_EQ(block_files, referenced) << app.name << " seed " << seed;
     }
   }
 }
