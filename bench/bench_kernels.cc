@@ -4,7 +4,8 @@
 // ThreadPool), SpMV sweeps over a bs×bs block with eight non-zeros per
 // column (`dense_sparse_spmv`: PageRank's 1×bs row vector times the block;
 // `sparse_dense_spmv`: the block, plain or transposed, times a bs×1 column
-// vector, LinReg's V·p and Vᵀ·r), plus the
+// vector, LinReg's V·p and Vᵀ·r), GNMF's four block products at its
+// block side of 50 and the Netflix density, plus the
 // vectorized reduction/elementwise primitives, plus the seed's pre-packing
 // dense GEMM loop as the speedup baseline (tests/matrix/kernel_reference.h
 // keeps the same loop as the differential-test reference).
@@ -17,8 +18,9 @@
 // `sparse_gemm_parallel_speedup_4t` (4-thread vs 1-thread, geometric mean
 // of the three sparse pairings' `nn` rows at the largest swept block size).
 // Both scaling numbers are honest on the runner, so ~1.0 on a 1-core
-// machine. `--quick` or DMAC_BENCH_SCALE>1 trims the sweeps for CI smoke
-// runs.
+// machine. A `provenance` object records the build type, the CPU's ISA,
+// the dense micro-kernel variant in use, nproc and the repeat count.
+// `--quick` or DMAC_BENCH_SCALE>1 trims the sweeps for CI smoke runs.
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
@@ -26,6 +28,7 @@
 #include <cstring>
 #include <functional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -48,12 +51,19 @@ constexpr int64_t kDefaultBs = 256;
 
 constexpr double kSparsity = 0.02;
 
+/// GNMF's block products (docs/kernels.md#small-blocks): k = 200 on 4
+/// workers × 4 threads gives Eq. 3's block side √(200·200/16) = 50, and
+/// the Netflix-shaped V has density 0.0118, about 30 entries a block.
+constexpr int64_t kGnmfBs = 50;
+constexpr double kGnmfDensity = 0.0118;
+
 struct Entry {
   std::string kind;            // "gemm" | "gemm_seed_reference" | "vec"
   std::string representation;  // e.g. "dense_dense", "sum_squares"
   std::string trans;           // "nn" | "tn" | "nt" | "tt" | "" for vec
   int64_t block_size = 0;
   int threads = 1;             // workers incl. the caller (GemmParallel)
+  double density = 1;          // of the sparse operand(s); 1 when dense
   double seconds = 0;          // per call
   double gflops = 0;
   double bytes_per_second = 0;
@@ -101,10 +111,10 @@ int64_t BlockBytes(const Block& b) {
 /// transposed when the flag is set so every flag combination multiplies
 /// the same effective matrices.
 Block MakeOperand(int64_t rows, int64_t cols, bool trans, bool sparse,
-                  uint64_t seed) {
+                  double density, uint64_t seed) {
   const int64_t r = trans ? cols : rows;
   const int64_t c = trans ? rows : cols;
-  return sparse ? RandomSparseBlock(r, c, kSparsity, seed)
+  return sparse ? RandomSparseBlock(r, c, density, seed)
                 : RandomDenseBlock(r, c, seed);
 }
 
@@ -113,9 +123,9 @@ Block MakeOperand(int64_t rows, int64_t cols, bool trans, bool sparse,
 /// still apply, so small products report flat scaling by design.
 Entry BenchGemm(bool a_sparse, bool b_sparse, bool ta, bool tb, int64_t bs,
                 double min_seconds, int threads = 1,
-                ThreadPool* pool = nullptr) {
-  Block a = MakeOperand(bs, bs, ta, a_sparse, 1);
-  Block b = MakeOperand(bs, bs, tb, b_sparse, 2);
+                ThreadPool* pool = nullptr, double density = kSparsity) {
+  Block a = MakeOperand(bs, bs, ta, a_sparse, density, 1);
+  Block b = MakeOperand(bs, bs, tb, b_sparse, density, 2);
   DenseBlock acc(bs, bs);
   GemmScratch scratch;  // reused across calls, as the engine reuses its pool
 
@@ -148,6 +158,7 @@ Entry BenchGemm(bool a_sparse, bool b_sparse, bool ta, bool tb, int64_t bs,
   e.trans = std::string(ta ? "t" : "n") + (tb ? "t" : "n");
   e.block_size = bs;
   e.threads = threads;
+  e.density = a_sparse || b_sparse ? density : 1;
   e.seconds = seconds;
   e.gflops = GflopsOrZero(flops_per_call, seconds);
   const double bytes =
@@ -194,6 +205,7 @@ Entry BenchSpmv(bool row_vector, bool trans, int64_t bs, double min_seconds,
   e.trans = trans ? "tn" : "nn";
   e.block_size = bs;
   e.threads = threads;
+  e.density = kSpmvNnzPerCol / static_cast<double>(bs);
   e.seconds = seconds;
   e.gflops = GflopsOrZero(2.0 * static_cast<double>(v.sparse().nnz()), seconds);
   e.bytes_per_second =
@@ -289,16 +301,30 @@ std::vector<Entry> BenchVecPrimitives(int64_t bs, double min_seconds) {
   return out;
 }
 
+/// The widest vector ISA the running CPU offers.
+const char* DetectedIsa() {
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_cpu_init();
+  if (__builtin_cpu_supports("avx512f")) return "avx512f";
+  if (__builtin_cpu_supports("avx2")) return "avx2";
+  if (__builtin_cpu_supports("avx")) return "avx";
+  if (__builtin_cpu_supports("sse4.2")) return "sse4.2";
+  return "sse2";
+#else
+  return "non-x86";
+#endif
+}
+
 void AppendJson(std::string* out, const Entry& e) {
   char buf[512];
   std::snprintf(buf, sizeof(buf),
                 "    {\"kind\": \"%s\", \"representation\": \"%s\", "
                 "\"trans\": \"%s\", \"block_size\": %lld, \"threads\": %d, "
-                "\"seconds_per_call\": %.9f, \"gflops\": %.3f, "
-                "\"bytes_per_second\": %.3e}",
+                "\"density\": %.6g, \"seconds_per_call\": %.9f, "
+                "\"gflops\": %.3f, \"bytes_per_second\": %.3e}",
                 e.kind.c_str(), e.representation.c_str(), e.trans.c_str(),
-                static_cast<long long>(e.block_size), e.threads, e.seconds,
-                e.gflops, e.bytes_per_second);
+                static_cast<long long>(e.block_size), e.threads, e.density,
+                e.seconds, e.gflops, e.bytes_per_second);
   *out += buf;
 }
 
@@ -346,6 +372,15 @@ int Main(int argc, char** argv) {
     }
     for (const Entry& e : BenchVecPrimitives(bs, min_seconds)) emit(e);
   }
+
+  // GNMF's products, serial like its block tasks: V·Hᵀ, Wᵀ·V, W·(HHᵀ)
+  // and WᵀW.
+  emit(BenchGemm(true, false, false, true, kGnmfBs, min_seconds, 1, nullptr,
+                 kGnmfDensity));
+  emit(BenchGemm(false, true, true, false, kGnmfBs, min_seconds, 1, nullptr,
+                 kGnmfDensity));
+  emit(BenchGemm(false, false, false, false, kGnmfBs, min_seconds));
+  emit(BenchGemm(false, false, true, false, kGnmfBs, min_seconds));
 
   // Thread-count axes at the block sizes above the serial cutoffs
   // (docs/performance.md explains how to read the scaling column against
@@ -431,6 +466,17 @@ int Main(int argc, char** argv) {
 
   std::string json = "{\n";
   json += "  \"schema\": \"dmac-kernel-bench-v2\",\n";
+  char provenance[512];
+  std::snprintf(provenance, sizeof(provenance),
+                "  \"provenance\": {\"command\": \"bench_kernels%s\", "
+                "\"build_type\": \"%s\", \"native_arch\": %s, "
+                "\"isa\": \"%s\", \"microkernel\": \"%s\", "
+                "\"nproc\": %u, \"repeats\": %d},\n",
+                quick ? " --quick" : "", DMAC_BENCH_BUILD_TYPE,
+                DMAC_BENCH_NATIVE_ARCH ? "true" : "false", DetectedIsa(),
+                ActiveMicroKernel(), std::thread::hardware_concurrency(),
+                kRepeats);
+  json += provenance;
   json += "  \"default_block_size\": " + std::to_string(kDefaultBs) + ",\n";
   char buf[128];
   std::snprintf(buf, sizeof(buf),

@@ -162,7 +162,8 @@ bool ParseManifest(const std::string& data, int64_t expected_epoch,
 }  // namespace
 
 Result<std::unique_ptr<DurableCheckpointStore>> DurableCheckpointStore::Open(
-    std::string dir, std::shared_ptr<StorageIO> io) {
+    std::string dir, std::shared_ptr<StorageIO> io,
+    OnUnverifiable on_unverifiable) {
   std::unique_ptr<DurableCheckpointStore> store(
       new DurableCheckpointStore(std::move(dir), std::move(io)));
   DMAC_RETURN_NOT_OK(store->io_->CreateDir(store->dir_));
@@ -180,7 +181,8 @@ Result<std::unique_ptr<DurableCheckpointStore>> DurableCheckpointStore::Open(
   // that fails verification is corruption (atomic rename means it cannot be
   // torn), so a lower committed epoch — if one verifies — is the truth;
   // with no verifiable fallback the store is lost, and that must surface as
-  // a clean error rather than a silent fresh start.
+  // a clean error rather than a silent fresh start — unless the caller
+  // restores nothing anyway (kStartEmpty).
   bool saw_corrupt = false;
   for (const int64_t epoch : epochs) {
     auto data = store->io_->ReadFile(
@@ -213,7 +215,8 @@ Result<std::unique_ptr<DurableCheckpointStore>> DurableCheckpointStore::Open(
     }
     break;
   }
-  if (!store->committed_.has_value() && saw_corrupt) {
+  const bool unverifiable = !store->committed_.has_value() && saw_corrupt;
+  if (unverifiable && on_unverifiable == OnUnverifiable::kFail) {
     return Status::DataLoss("checkpoint dir " + store->dir_ +
                             ": no committed epoch survives verification");
   }
@@ -222,7 +225,9 @@ Result<std::unique_ptr<DurableCheckpointStore>> DurableCheckpointStore::Open(
   // older and partially-written epochs, unreferenced block files, and
   // `*.tmp` crash debris. After Open the store's files are exactly one
   // committed snapshot (or nothing); anything else in the directory is
-  // not ours and stays.
+  // not ours and stays. An unverifiable directory is left as it is: the
+  // first commit's epoch numbers past its manifests, and a later Open,
+  // finding that epoch, collects them.
   std::set<std::string> keep;
   if (store->committed_.has_value()) {
     keep.insert(kManifestPrefix + std::to_string(store->committed_->epoch));
@@ -231,7 +236,7 @@ Result<std::unique_ptr<DurableCheckpointStore>> DurableCheckpointStore::Open(
     }
   }
   for (const std::string& name : names) {
-    if (IsStoreFile(name) && keep.count(name) == 0) {
+    if (!unverifiable && IsStoreFile(name) && keep.count(name) == 0) {
       store->io_->Remove(store->PathFor(name));
     }
   }

@@ -97,13 +97,22 @@ struct PendingDurableBlock {
 /// thread checkpoints and resumes, at step boundaries.
 class DurableCheckpointStore {
  public:
+  /// What Open does when the directory holds manifests and none of them
+  /// verifies (corrupt, or written in an earlier on-disk format).
+  enum class OnUnverifiable {
+    kFail,        // kDataLoss: a resume must never silently start over
+    kStartEmpty,  // open with no committed epoch and delete nothing: for
+                  // callers that restore nothing (a run without --resume)
+  };
+
   /// Opens (creating if needed) the store at `dir`, recovering the last
   /// committed epoch: partial manifests roll back, corrupt committed state
-  /// falls back to the previous epoch or fails kDataLoss, and stale /
-  /// partial files are garbage-collected. `io` is the fault-injection
-  /// choke point every byte moves through.
+  /// falls back to the previous epoch or is handled per `on_unverifiable`,
+  /// and stale / partial files are garbage-collected. `io` is the
+  /// fault-injection choke point every byte moves through.
   static Result<std::unique_ptr<DurableCheckpointStore>> Open(
-      std::string dir, std::shared_ptr<StorageIO> io);
+      std::string dir, std::shared_ptr<StorageIO> io,
+      OnUnverifiable on_unverifiable = OnUnverifiable::kFail);
 
   /// The last committed snapshot, or nullptr if the store is fresh.
   const DurableSnapshot* committed() const {

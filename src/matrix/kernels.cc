@@ -1,11 +1,13 @@
-// Kernel implementations. This TU is compiled -O3 (plus -march=native when
-// DMAC_NATIVE_ARCH is on) so the fixed-trip-count loops below vectorize;
-// see docs/kernels.md for the design and how it was verified with
-// -fopt-info-vec.
+// Kernel implementations. This TU is compiled -O3 -ffp-contract=off (plus
+// -march=native when DMAC_NATIVE_ARCH is on) so the fixed-trip-count loops
+// below vectorize without fusing multiply-adds; see docs/kernels.md for
+// the design and how it was verified with -fopt-info-vec.
 #include "matrix/kernels.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -106,15 +108,20 @@ void PackB(const DenseBlock& b, bool trans, int64_t l0, int64_t kc,
 
 /// acc(kGemmMr x kGemmNr tile at (i, j)) += packed_a · packed_b over kc.
 /// Fixed trip counts over the register tile let the compiler keep the
-/// accumulators in vector registers and fuse the multiply-adds — but only
-/// if the tile loops are actually flattened: without the explicit unroll
-/// pragmas gcc vectorizes the j loop yet leaves `acc` addressable on the
-/// stack, reloading and respilling the whole tile every k step (measured
-/// ~12x slower than the fully unrolled form on AVX-512, ~5x on baseline
-/// SSE2). Only the first mr x nr elements are written back (edge tiles).
-void MicroKernel(int64_t kc, const Scalar* __restrict a,
-                 const Scalar* __restrict b, Scalar* c, int64_t ldc,
-                 int64_t mr, int64_t nr) {
+/// accumulators in vector registers — but only if the tile loops are
+/// actually flattened: without the explicit unroll pragmas gcc vectorizes
+/// the j loop yet leaves `acc` addressable on the stack, reloading and
+/// respilling the whole tile every k step (measured ~12x slower than the
+/// fully unrolled form on AVX-512, ~5x on baseline SSE2). Only the first
+/// mr x nr elements are written back (edge tiles).
+///
+/// Always inlined into one wrapper per ISA level below, each compiled for
+/// its target. The TU is built -ffp-contract=off, so no variant fuses a
+/// multiply and its add into an FMA: every lane computes the same rounded
+/// product and sum in the same k order, and all variants agree bit for bit.
+[[gnu::always_inline]] inline void MicroKernelBody(
+    int64_t kc, const Scalar* __restrict a, const Scalar* __restrict b,
+    Scalar* c, int64_t ldc, int64_t mr, int64_t nr) {
   // The unroll factors below must match the tile; update them together.
   static_assert(kGemmMr == 8 && kGemmNr == 16);
   Scalar acc[kGemmMr][kGemmNr] = {};
@@ -132,6 +139,83 @@ void MicroKernel(int64_t kc, const Scalar* __restrict a,
     Scalar* col = c + j * ldc;
     for (int64_t i = 0; i < mr; ++i) col[i] += acc[i][j];
   }
+}
+
+using MicroKernelFn = void (*)(int64_t, const Scalar*, const Scalar*, Scalar*,
+                               int64_t, int64_t, int64_t);
+
+void MicroKernelBaseline(int64_t kc, const Scalar* a, const Scalar* b,
+                         Scalar* c, int64_t ldc, int64_t mr, int64_t nr) {
+  MicroKernelBody(kc, a, b, c, ldc, mr, nr);
+}
+
+struct IsaVariant {
+  const char* name;  // the x86-64 ISA level it is compiled for
+  int level;         // that level's number (0 off x86-64)
+  MicroKernelFn fn;
+  bool supported;    // the running CPU can execute it
+};
+
+#if defined(__x86_64__)
+// Each wrapper targets the vector features of its level, and only those,
+// so the features the startup check tests (by names gcc and clang both
+// accept) are exactly the ones its code may use.
+[[gnu::target("avx2,fma,bmi,bmi2")]] void MicroKernelV3(
+    int64_t kc, const Scalar* a, const Scalar* b, Scalar* c, int64_t ldc,
+    int64_t mr, int64_t nr) {
+  MicroKernelBody(kc, a, b, c, ldc, mr, nr);
+}
+
+[[gnu::target("avx2,fma,bmi,bmi2,avx512f,avx512bw,avx512cd,avx512dq,"
+              "avx512vl")]] void MicroKernelV4(
+    int64_t kc, const Scalar* a, const Scalar* b, Scalar* c, int64_t ldc,
+    int64_t mr, int64_t nr) {
+  MicroKernelBody(kc, a, b, c, ldc, mr, nr);
+}
+
+/// Baseline first, widest last.
+const std::vector<IsaVariant>& MicroKernelVariants() {
+  static const std::vector<IsaVariant> variants = [] {
+    __builtin_cpu_init();
+    const bool v3 = __builtin_cpu_supports("avx2") &&
+                    __builtin_cpu_supports("fma") &&
+                    __builtin_cpu_supports("bmi") &&
+                    __builtin_cpu_supports("bmi2");
+    const bool v4 = v3 && __builtin_cpu_supports("avx512f") &&
+                    __builtin_cpu_supports("avx512bw") &&
+                    __builtin_cpu_supports("avx512cd") &&
+                    __builtin_cpu_supports("avx512dq") &&
+                    __builtin_cpu_supports("avx512vl");
+    return std::vector<IsaVariant>{
+        {"x86-64", 1, &MicroKernelBaseline, true},
+        {"x86-64-v3", 3, &MicroKernelV3, v3},
+        {"x86-64-v4", 4, &MicroKernelV4, v4},
+    };
+  }();
+  return variants;
+}
+#else
+const std::vector<IsaVariant>& MicroKernelVariants() {
+  static const std::vector<IsaVariant> variants = {
+      {"baseline", 0, &MicroKernelBaseline, true}};
+  return variants;
+}
+#endif
+
+/// Index into MicroKernelVariants() of the variant every dense GEMM calls:
+/// the widest supported one, chosen at startup; UseMicroKernel switches it
+/// for differential tests and benches.
+std::atomic<size_t> g_micro_kernel{[] {
+  const std::vector<IsaVariant>& variants = MicroKernelVariants();
+  size_t widest = 0;
+  for (size_t v = 0; v < variants.size(); ++v) {
+    if (variants[v].supported) widest = v;
+  }
+  return widest;
+}()};
+
+const IsaVariant& ActiveVariant() {
+  return MicroKernelVariants()[g_micro_kernel.load(std::memory_order_relaxed)];
 }
 
 /// Effective dimensions of a possibly-flagged operand.
@@ -202,6 +286,31 @@ Result<const DenseBlock*> StageTranspose(const DenseBlock& x,
 }
 
 }  // namespace
+
+// ---- micro-kernel dispatch -----------------------------------------------
+
+const char* ActiveMicroKernel() { return ActiveVariant().name; }
+
+int ActiveMicroKernelLevel() { return ActiveVariant().level; }
+
+std::vector<std::string> SupportedMicroKernels() {
+  std::vector<std::string> names;
+  for (const IsaVariant& v : MicroKernelVariants()) {
+    if (v.supported) names.emplace_back(v.name);
+  }
+  return names;
+}
+
+bool UseMicroKernel(const std::string& name) {
+  const std::vector<IsaVariant>& variants = MicroKernelVariants();
+  for (size_t v = 0; v < variants.size(); ++v) {
+    if (variants[v].supported && name == variants[v].name) {
+      g_micro_kernel.store(v, std::memory_order_relaxed);
+      return true;
+    }
+  }
+  return false;
+}
 
 // ---- GemmScratch ---------------------------------------------------------
 
@@ -287,6 +396,7 @@ Status GemmDenseThreaded(const DenseBlock& a, const DenseBlock& b,
   DMAC_ASSIGN_OR_RETURN(Scalar * pack_b,
                         scratch->PanelB(kc_max * RoundUp(n, kGemmNr)));
   std::vector<char> b_live;
+  const MicroKernelFn micro_kernel = ActiveVariant().fn;
 
   const int64_t row_panels = (m + kGemmMc - 1) / kGemmMc;
   const int64_t col_chunks = (n + kGemmParColChunk - 1) / kGemmParColChunk;
@@ -317,9 +427,9 @@ Status GemmDenseThreaded(const DenseBlock& a, const DenseBlock& b,
         for (int64_t ip = 0; ip < ipanels; ++ip) {
           const int64_t i = i0 + ip * kGemmMr;
           const int64_t mr = std::min<int64_t>(kGemmMr, m - i);
-          MicroKernel(kc, pack_a + (ip0 + ip) * kGemmMr * kc,
-                      pack_b + (jp0 + jp) * kGemmNr * kc, acc->col(j) + i,
-                      acc->rows(), mr, nr);
+          micro_kernel(kc, pack_a + (ip0 + ip) * kGemmMr * kc,
+                       pack_b + (jp0 + jp) * kGemmNr * kc, acc->col(j) + i,
+                       acc->rows(), mr, nr);
         }
       }
     };
@@ -357,6 +467,7 @@ Status GemmDense(const DenseBlock& a, const DenseBlock& b, bool trans_a,
   DMAC_ASSIGN_OR_RETURN(Scalar * pack_a, scratch->PanelA(a_elems));
   DMAC_ASSIGN_OR_RETURN(Scalar * pack_b, scratch->PanelB(b_elems));
   std::vector<char> b_live;
+  const MicroKernelFn micro_kernel = ActiveVariant().fn;
 
   for (int64_t j0 = 0; j0 < n; j0 += kGemmNc) {
     const int64_t nc = std::min(kGemmNc, n - j0);
@@ -383,9 +494,9 @@ Status GemmDense(const DenseBlock& a, const DenseBlock& b, bool trans_a,
           for (int64_t ip = 0; ip < ipanels; ++ip) {
             const int64_t i = i0 + ip * kGemmMr;
             const int64_t mr = std::min<int64_t>(kGemmMr, m - i);
-            MicroKernel(kc, pack_a + ip * kGemmMr * kc,
-                        pack_b + jp * kGemmNr * kc, acc->col(j) + i,
-                        acc->rows(), mr, nr);
+            micro_kernel(kc, pack_a + ip * kGemmMr * kc,
+                         pack_b + jp * kGemmNr * kc, acc->col(j) + i,
+                         acc->rows(), mr, nr);
           }
         }
       }
@@ -428,6 +539,14 @@ constexpr int64_t kRowChunkAlign = 64 / sizeof(Scalar);
 /// they fan out only once a call takes about as long as a scalar sparse
 /// kernel at the threshold.
 constexpr int64_t kAxpyGateRows = 16;
+
+/// Largest accumulator (bytes) that sparse·denseᵀ scatters into by rows
+/// (SpDnTransB) instead of staging Bᵀ: every term of that kernel writes
+/// another cache line of C, which pays only while C stays in L1. Measured
+/// at densities 0.0118 and 0.02 on a 48 KiB-L1d AVX-512 Xeon: 0.22–0.48×
+/// the staged path's time up to 112×112 (49 KB), 1.2–1.6× at 128×128
+/// (64 KB) (docs/kernels.md#small-blocks).
+constexpr int64_t kRowScatterMaxAccBytes = 56 * 1024;
 
 /// Prefix work over output indices: every index costs one unit (loop
 /// overhead), plus the nnz of the matching column of `csc` when set —
@@ -544,24 +663,62 @@ Status RunSparse(const GemmParallel* par, double work, DenseBlock* acc,
 
 namespace {
 
+/// Stored columns of `a` that hold at least one entry, ascending.
+std::vector<int32_t> NonEmptyCols(const CscBlock& a) {
+  std::vector<int32_t> cols;
+  for (int64_t l = 0; l < a.cols(); ++l) {
+    if (a.ColStart(l) != a.ColEnd(l)) cols.push_back(static_cast<int32_t>(l));
+  }
+  return cols;
+}
+
 /// acc += A_csc · B_dense, both untransposed: scatter A's column l scaled
 /// by B(l, j) — the seed formulation with the zero test hoisted to the
 /// sparse structure (no per-element branch; B's zeros cost one madd each
-/// inside the axpy, A's zeros are absent from the structure).
-void SpDnPlain(const CscBlock& a, const DenseBlock& b, DenseBlock* acc,
+/// inside the axpy, A's zeros are absent from the structure). Only A's
+/// non-empty columns `live` are visited, in ascending order, so each
+/// C(r, j) still receives its terms in ascending l.
+void SpDnPlain(const CscBlock& a, const DenseBlock& b,
+               const std::vector<int32_t>& live, DenseBlock* acc,
                OutSlice s) {
-  const int64_t k = a.cols();
   const int32_t* rows = a.row_idx().data();
   const Scalar* vals = a.values().data();
   for (int64_t j = s.j0; j < s.j1; ++j) {
     Scalar* c_col = acc->col(j);
     const Scalar* b_col = b.col(j);
-    for (int64_t l = 0; l < k; ++l) {
+    for (const int32_t l : live) {
       const Scalar t = b_col[l];
       if (t == Scalar{0}) continue;  // column-skip over B's zero entries
       const int32_t end = a.ColEnd(l);
       for (int32_t p = a.ColStart(l); p < end; ++p) {
         c_col[rows[p]] += vals[p] * t;
+      }
+    }
+  }
+}
+
+/// acc += A_csc · Bᵀ with B stored dense n x k: stored column l of B holds
+/// B(j, l) contiguous over j, so each stored A(r, l) scales it into C's
+/// row r, skipping B's zero entries. C(r, j) receives its terms in
+/// ascending l, the order SpDnPlain gives over a staged Bᵀ, so the result
+/// is bit-identical without the staging copy. Walking C by rows touches a
+/// cache line per term, so GemmSparseDense runs this only on accumulators
+/// up to kRowScatterMaxAccBytes.
+void SpDnTransB(const CscBlock& a, const DenseBlock& b, DenseBlock* acc,
+                OutSlice s) {
+  const int64_t k = a.cols();
+  const int64_t ldc = acc->rows();
+  const int32_t* rows = a.row_idx().data();
+  const Scalar* vals = a.values().data();
+  for (int64_t l = 0; l < k; ++l) {
+    const Scalar* b_col = b.col(l);
+    const int32_t end = a.ColEnd(l);
+    for (int32_t p = a.ColStart(l); p < end; ++p) {
+      const Scalar v = vals[p];
+      Scalar* c_row = acc->data() + rows[p];
+      for (int64_t j = s.j0; j < s.j1; ++j) {
+        const Scalar t = b_col[j];
+        if (t != Scalar{0}) c_row[j * ldc] += v * t;
       }
     }
   }
@@ -598,6 +755,12 @@ Status GemmSparseDense(const CscBlock& a, const DenseBlock& b, bool trans_a,
   const int64_t n = trans_b ? b.rows() : b.cols();
   const double work = 2.0 * static_cast<double>(a.nnz()) * n;
   if (stats != nullptr) stats->flops += work;
+  if (trans_b && !trans_a &&
+      acc->rows() * acc->cols() * static_cast<int64_t>(sizeof(Scalar)) <=
+          kRowScatterMaxAccBytes) {
+    return RunSparse(par, work, acc, SplitAxis::kCols, Weight{}, stats,
+                     [&](OutSlice s) { SpDnTransB(a, b, acc, s); });
+  }
   const DenseBlock* beff = &b;
   if (trans_b) {
     DMAC_ASSIGN_OR_RETURN(
@@ -612,8 +775,9 @@ Status GemmSparseDense(const CscBlock& a, const DenseBlock& b, bool trans_a,
     return RunSparse(par, work, acc, axis, weight, stats,
                      [&](OutSlice s) { SpDnTransA(a, *beff, acc, s); });
   }
+  const std::vector<int32_t> live = NonEmptyCols(a);
   return RunSparse(par, work, acc, SplitAxis::kCols, Weight{}, stats,
-                   [&](OutSlice s) { SpDnPlain(a, *beff, acc, s); });
+                   [&](OutSlice s) { SpDnPlain(a, *beff, live, acc, s); });
 }
 
 // ---- dense x sparse ------------------------------------------------------
@@ -651,24 +815,32 @@ void DnSpPlain(const DenseBlock& a, const CscBlock& b, DenseBlock* acc,
 }
 
 /// acc += Aᵀ · B_csc with A stored dense k x m: C(i, j) gathers stored
-/// column i of A at B's column-j row indices.
+/// column i of A at B's column-j row indices. Per non-empty column j, a
+/// partial-sum vector over the slice's rows takes B's entries in stored
+/// order and is then added to C's column once: each C(i, j) gets the terms
+/// of the per-element dot product in its order, summed before the one add
+/// into C, with loops that run over the rows rather than over a column's
+/// few entries.
 void DnSpTransA(const DenseBlock& a, const CscBlock& b, DenseBlock* acc,
                 OutSlice s) {
+  const int64_t lda = a.rows();
+  const int64_t len = s.i1 - s.i0;
   const int32_t* rows = b.row_idx().data();
   const Scalar* vals = b.values().data();
+  std::vector<Scalar> sum(static_cast<size_t>(len));
   for (int64_t j = s.j0; j < s.j1; ++j) {
-    Scalar* c_col = acc->col(j);
     const int32_t start = b.ColStart(j);
     const int32_t end = b.ColEnd(j);
     if (start == end) continue;
-    for (int64_t i = s.i0; i < s.i1; ++i) {
-      const Scalar* a_col = a.col(i);
-      Scalar sum = 0;
-      for (int32_t p = start; p < end; ++p) {
-        sum += vals[p] * a_col[rows[p]];
-      }
-      c_col[i] += sum;
+    std::fill(sum.begin(), sum.end(), Scalar{0});
+    for (int32_t p = start; p < end; ++p) {
+      const Scalar v = vals[p];
+      // A(rows[p], i) for i in the slice, one stored column apart.
+      const Scalar* a_row = a.col(s.i0) + rows[p];
+      for (int64_t i = 0; i < len; ++i) sum[i] += v * a_row[i * lda];
     }
+    Scalar* c_col = acc->col(j) + s.i0;
+    for (int64_t i = 0; i < len; ++i) c_col[i] += sum[i];
   }
 }
 

@@ -4,8 +4,9 @@
 // (GotoBLAS-style): operand panels are packed into contiguous scratch
 // buffers sized for the cache hierarchy, and an 8x16 register tile with a
 // fixed trip count lets the compiler auto-vectorize the inner product (this
-// translation unit is compiled -O3, optionally -march=native; see
-// src/matrix/CMakeLists.txt and docs/kernels.md).
+// translation unit is compiled -O3 without FMA contraction, optionally
+// -march=native, and the micro-kernel is built once per x86-64 ISA level;
+// see src/matrix/CMakeLists.txt and docs/kernels.md).
 //
 // Transpose-awareness: every multiply kernel takes TransA/TransB flags so a
 // transposed operand is consumed in its *stored* layout — the packing
@@ -23,6 +24,7 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -57,6 +59,31 @@ inline constexpr int64_t kGemmParallelMinFlops = 4'000'000;
 /// from the threaded sparse rows of BENCH_kernels.json
 /// (docs/kernels.md#threaded-sparse-kernels).
 inline constexpr int64_t kSparseParallelMinWork = 262'144;
+
+// ---- micro-kernel ISA dispatch -------------------------------------------
+// The dense micro-kernel is compiled once per x86-64 ISA level: "x86-64"
+// (the SSE2 baseline), "x86-64-v3" (AVX2) and "x86-64-v4" (AVX-512); a
+// build for another architecture has only "baseline". At startup every
+// dense GEMM is routed to the widest level the CPU supports
+// (__builtin_cpu_supports). The kernels are compiled without FMA
+// contraction, so every variant produces bit-identical output
+// (docs/kernels.md#isa-dispatch).
+
+/// Name of the variant dense GEMMs use.
+const char* ActiveMicroKernel();
+
+/// That variant's x86-64 ISA level: 1, 3 or 4 (0 off x86-64). Exported as
+/// the engine.gemm.microkernel.level gauge.
+int ActiveMicroKernelLevel();
+
+/// Names of the variants this CPU can run, baseline first.
+std::vector<std::string> SupportedMicroKernels();
+
+/// Routes every later dense GEMM to the variant `name` and returns true;
+/// returns false and changes nothing when the CPU cannot run it (or no
+/// such variant exists). For differential tests and benches that compare
+/// variants.
+bool UseMicroKernel(const std::string& name);
 
 /// Per-call kernel accounting, surfaced as engine.gemm_flops,
 /// engine.gemm.pack.seconds and engine.gemm.tasks (docs/observability.md).

@@ -89,6 +89,9 @@ const std::vector<MetricSpec>& MetricCatalog() {
       {kMetricGemmTasks, MetricKind::kCounter, "tasks",
        "parallel GEMM tile tasks run by the threaded dense macro-kernel "
        "(0 while every multiply takes the serial path)"},
+      {kMetricGemmMicroKernelLevel, MetricKind::kGauge, "level",
+       "x86-64 ISA level of the dense GEMM micro-kernel variant chosen at "
+       "startup (1 = SSE2 baseline, 3 = AVX2, 4 = AVX-512; 0 off x86-64)"},
       {kMetricPoolAcquires, MetricKind::kCounter, "blocks",
        "dense accumulator blocks acquired from the result buffer pool"},
       {kMetricPoolReuses, MetricKind::kCounter, "blocks",

@@ -21,6 +21,7 @@
 #include "fault/injector.h"
 #include "fault/lineage.h"
 #include "fault/retry_policy.h"
+#include "matrix/kernels.h"
 #include "matrix/mem_tracker.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -207,6 +208,7 @@ class Executor::Impl {
     }
     stage_span.reset();
     metric_stages_->Set(plan_.num_stages);
+    metric_microkernel_level_->Set(ActiveMicroKernelLevel());
 
     if (injector_ != nullptr) {
       // Boundary faults injected after the last consumer of a node can
@@ -566,9 +568,16 @@ class Executor::Impl {
           opts_.fault.disk, opts_.fault.seed ^ 0x5d15c0de5d15c0deULL,
           opts_.fault.disk.crash_soft ? StorageIO::CrashMode::kSoft
                                       : StorageIO::CrashMode::kHard);
+      // A run that does not resume restores nothing, so a directory with
+      // no verifiable epoch (say, an older on-disk format) is as good as
+      // an empty one for it.
       DMAC_ASSIGN_OR_RETURN(
           durable_store_,
-          DurableCheckpointStore::Open(opts_.checkpoint_dir, storage_io_));
+          DurableCheckpointStore::Open(
+              opts_.checkpoint_dir, storage_io_,
+              opts_.resume
+                  ? DurableCheckpointStore::OnUnverifiable::kFail
+                  : DurableCheckpointStore::OnUnverifiable::kStartEmpty));
     }
     if (!ft_) return Status::Ok();
     retry_policy_ = RetryPolicy{opts_.fault.max_retries,
@@ -1954,6 +1963,8 @@ class Executor::Impl {
   // is disabled).
   Counter* metric_steps_ = MetricRegistry::Global().counter(kMetricStepsExecuted);
   Gauge* metric_stages_ = MetricRegistry::Global().gauge(kMetricStages);
+  Gauge* metric_microkernel_level_ =
+      MetricRegistry::Global().gauge(kMetricGemmMicroKernelLevel);
   Gauge* metric_peak_memory_ =
       MetricRegistry::Global().gauge(kMetricPeakMemoryBytes);
   Gauge* metric_estimate_drift_ =

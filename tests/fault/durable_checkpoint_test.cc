@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "common/result.h"
 #include "common/status.h"
 #include "fault/checksum.h"
 #include "fault/fault_spec.h"
@@ -44,13 +45,19 @@ struct TempDir {
   std::string path;
 };
 
-std::unique_ptr<DurableCheckpointStore> MustOpen(
+Result<std::unique_ptr<DurableCheckpointStore>> OpenStore(
     const std::string& dir,
     std::shared_ptr<StorageIO> io = std::make_shared<StorageIO>()) {
-  auto store = DurableCheckpointStore::Open(dir, std::move(io));
-  EXPECT_TRUE(store.ok()) << store.status();
-  return std::move(*store);
+  return DurableCheckpointStore::Open(dir, std::move(io));
 }
+
+/// `lhs = ` the store OpenStore(args...) opens. A failed Open fails and
+/// returns from the current test only; the rest of the binary still runs.
+#define ASSERT_OPEN(lhs, ...)                                       \
+  auto DMAC_CONCAT_(opened_, __LINE__) = OpenStore(__VA_ARGS__);   \
+  ASSERT_TRUE(DMAC_CONCAT_(opened_, __LINE__).ok())                \
+      << DMAC_CONCAT_(opened_, __LINE__).status();                 \
+  lhs = std::move(*DMAC_CONCAT_(opened_, __LINE__))
 
 PendingDurableBlock Pending(int node, int worker, int64_t key,
                             std::shared_ptr<const Block> block) {
@@ -89,13 +96,13 @@ void CommitSample(DurableCheckpointStore* store, int resume_step,
 
 TEST(DurableCheckpointTest, CommitAndReopenRoundTrips) {
   TempDir dir("roundtrip");
-  auto store = MustOpen(dir.path);
+  ASSERT_OPEN(auto store, dir.path);
   EXPECT_EQ(store->committed(), nullptr);
   CommitSample(store.get(), /*resume_step=*/4, 0.5);
   EXPECT_EQ(store->epochs_committed(), 1);
   EXPECT_GT(store->bytes_written(), 0);
 
-  auto reopened = MustOpen(dir.path);
+  ASSERT_OPEN(auto reopened, dir.path);
   const DurableSnapshot* snap = reopened->committed();
   ASSERT_NE(snap, nullptr);
   EXPECT_EQ(snap->resume_step, 4);
@@ -120,7 +127,7 @@ TEST(DurableCheckpointTest, CommitAndReopenRoundTrips) {
 
 TEST(DurableCheckpointTest, NewEpochGarbageCollectsThePrevious) {
   TempDir dir("gc");
-  auto store = MustOpen(dir.path);
+  ASSERT_OPEN(auto store, dir.path);
   CommitSample(store.get(), 4, 0.5);
   const std::set<std::string> first = FileNames(dir.path);
   CommitSample(store.get(), 9, 0.25);
@@ -134,7 +141,7 @@ TEST(DurableCheckpointTest, NewEpochGarbageCollectsThePrevious) {
     if (name.rfind("manifest-", 0) == 0) ++manifests;
   }
   EXPECT_EQ(manifests, 1);
-  auto reopened = MustOpen(dir.path);
+  ASSERT_OPEN(auto reopened, dir.path);
   ASSERT_NE(reopened->committed(), nullptr);
   EXPECT_EQ(reopened->committed()->resume_step, 9);
 }
@@ -143,7 +150,7 @@ TEST(DurableCheckpointTest, FailedCommitRollsBackAndKeepsPreviousEpoch) {
   TempDir dir("rollback");
   // First epoch lands fault-free.
   {
-    auto store = MustOpen(dir.path);
+    ASSERT_OPEN(auto store, dir.path);
     CommitSample(store.get(), 4, 0.5);
   }
   const std::set<std::string> before = FileNames(dir.path);
@@ -151,7 +158,7 @@ TEST(DurableCheckpointTest, FailedCommitRollsBackAndKeepsPreviousEpoch) {
   DiskFaultSpec spec;
   spec.enospc_prob = 1.0;
   auto io = std::make_shared<StorageIO>(spec, /*seed=*/1);
-  auto store = MustOpen(dir.path, io);
+  ASSERT_OPEN(auto store, dir.path, io);
   auto block = std::make_shared<const Block>(RandomDenseBlock(8, 8, 77));
   Status st = store->Commit(9, 10, {}, {}, {Pending(1, 0, 0, block)});
   ASSERT_FALSE(st.ok());
@@ -165,27 +172,36 @@ TEST(DurableCheckpointTest, FailedCommitRollsBackAndKeepsPreviousEpoch) {
 
 TEST(DurableCheckpointTest, SoftCrashDebrisIsRolledBackOnReopen) {
   TempDir dir("debris");
-  {
-    auto store = MustOpen(dir.path);
-    CommitSample(store.get(), 4, 0.5);
-  }
-  const std::set<std::string> committed = FileNames(dir.path);
-  // Crash at every write point of the next commit in turn; whatever
-  // debris each leaves, reopening must recover epoch 1 and GC the rest.
+  std::set<std::string> committed;
+  // Crash at every write point of the next commit in turn, each time from
+  // a freshly committed epoch 1; whatever debris each crash leaves,
+  // reopening must recover epoch 1 (or the new epoch, if the crash came
+  // after the manifest rename) and GC the rest.
+  int crashed = 0;
+  int crashed_before_commit = 0;
   for (int crash_at = 1; crash_at <= 12; ++crash_at) {
+    fs::remove_all(dir.path);
+    {
+      ASSERT_OPEN(auto fresh, dir.path);
+      CommitSample(fresh.get(), 4, 0.5);
+    }
+    if (crash_at == 1) committed = FileNames(dir.path);
+    ASSERT_EQ(FileNames(dir.path), committed) << "crash_at " << crash_at;
+
     DiskFaultSpec spec;
     spec.crash_at = crash_at;
     auto io = std::make_shared<StorageIO>(spec, /*seed=*/1,
                                           StorageIO::CrashMode::kSoft);
-    auto store = MustOpen(dir.path, io);
+    ASSERT_OPEN(auto store, dir.path, io);
     auto block =
         std::make_shared<const Block>(RandomDenseBlock(8, 8, crash_at));
     Status st = store->Commit(9, 10, {{"err", 0.1}}, {},
                               {Pending(1, 0, 0, block)});
     if (st.ok()) continue;  // crash point past this commit's writes
     EXPECT_EQ(st.code(), StatusCode::kInternal) << st;
+    ++crashed;
 
-    auto reopened = MustOpen(dir.path);
+    ASSERT_OPEN(auto reopened, dir.path);
     ASSERT_NE(reopened->committed(), nullptr) << "crash_at " << crash_at;
     // Either the old epoch survived (crash before the manifest rename) or
     // the new one committed (crash after it) — never anything partial.
@@ -193,18 +209,19 @@ TEST(DurableCheckpointTest, SoftCrashDebrisIsRolledBackOnReopen) {
     EXPECT_TRUE(resume == 4 || resume == 9)
         << "crash_at " << crash_at << " resume_step " << resume;
     if (resume == 4) {
+      ++crashed_before_commit;
       EXPECT_EQ(FileNames(dir.path), committed) << "crash_at " << crash_at;
     }
     for (const DurableBlock& ref : reopened->committed()->blocks) {
       EXPECT_TRUE(reopened->ReadBlock(ref).ok()) << "crash_at " << crash_at;
     }
-    if (resume == 9) {
-      // Put epoch 1 back for the next loop iteration.
-      fs::remove_all(dir.path);
-      auto fresh = MustOpen(dir.path);
-      CommitSample(fresh.get(), 4, 0.5);
-    }
   }
+  // The commit's write points: the new block file's write, fsync and
+  // rename, then the manifest's. crash_at 4 changes nothing (its block
+  // equals epoch 1's, so the file is reused and only the manifest's 3
+  // points exist), and points 7–12 lie past every commit's writes.
+  EXPECT_EQ(crashed, 5);
+  EXPECT_GT(crashed_before_commit, 0);
 }
 
 /// Satellite: fuzzed torn manifests. Truncating the committed manifest at
@@ -214,7 +231,7 @@ TEST(DurableCheckpointTest, SoftCrashDebrisIsRolledBackOnReopen) {
 TEST(DurableCheckpointTest, FuzzedManifestRollsBackOrFailsClean) {
   TempDir dir("fuzz");
   {
-    auto store = MustOpen(dir.path);
+    ASSERT_OPEN(auto store, dir.path);
     CommitSample(store.get(), 4, 0.5);
     CommitSample(store.get(), 9, 0.25);
   }
@@ -279,7 +296,7 @@ TEST(DurableCheckpointTest, FuzzedManifestRollsBackOrFailsClean) {
 TEST(DurableCheckpointTest, CorruptBlockFileFallsBackToPreviousEpoch) {
   TempDir dir("blockcorrupt");
   {
-    auto store = MustOpen(dir.path);
+    ASSERT_OPEN(auto store, dir.path);
     CommitSample(store.get(), 4, 0.5);
   }
   // Hand-plant a *newer* bogus epoch: a valid-looking manifest referencing
@@ -365,7 +382,7 @@ struct IncrementalSample {
 TEST(DurableCheckpointTest, UnchangedBlockIsWrittenOnceAndKeepsItsFile) {
   TempDir dir("incremental");
   const IncrementalSample sample;
-  auto store = MustOpen(dir.path);
+  ASSERT_OPEN(auto store, dir.path);
   ASSERT_TRUE(sample.CommitFirst(store.get()).ok());
   const std::string shared = store->committed()->blocks[0].file;
   const std::string old_sparse = store->committed()->blocks[2].file;
@@ -396,7 +413,7 @@ TEST(DurableCheckpointTest, UnchangedBlockIsWrittenOnceAndKeepsItsFile) {
   EXPECT_EQ(store->bytes_written() - after_second,
             FileSize(dir.path + "/" + third));
   EXPECT_EQ(ReferencedFiles(*store->committed()), ReferencedFiles(snap));
-  auto reopened = MustOpen(dir.path);
+  ASSERT_OPEN(auto reopened, dir.path);
   ASSERT_NE(reopened->committed(), nullptr);
   EXPECT_EQ(reopened->committed()->blocks[0].file, shared);
   EXPECT_EQ(BlockFiles(dir.path), ReferencedFiles(*reopened->committed()));
@@ -408,7 +425,7 @@ TEST(DurableCheckpointTest, UnchangedBlockIsWrittenOnceAndKeepsItsFile) {
 TEST(DurableCheckpointTest, ChangedChecksumWritesANewFile) {
   TempDir dir("changed");
   const IncrementalSample sample;
-  auto store = MustOpen(dir.path);
+  ASSERT_OPEN(auto store, dir.path);
   ASSERT_TRUE(sample.CommitFirst(store.get()).ok());
   const std::string old_file = store->committed()->blocks[2].file;
   ASSERT_TRUE(sample.CommitSecond(store.get()).ok());
@@ -427,7 +444,7 @@ TEST(DurableCheckpointTest, FileOfAMismatchingPayloadIsNeverReused) {
   // writes cannot verify, so it must not be carried forward.
   PendingDurableBlock corrupt = Pending(1, 0, 0, good);
   corrupt.block = std::make_shared<const Block>(CorruptedCopy(*good, 7));
-  auto store = MustOpen(dir.path);
+  ASSERT_OPEN(auto store, dir.path);
   ASSERT_TRUE(store->Commit(4, 5, {}, {}, {corrupt}).ok());
   const std::string bad_file = store->committed()->blocks[0].file;
   EXPECT_FALSE(store->ReadBlock(store->committed()->blocks[0]).ok());
@@ -437,7 +454,7 @@ TEST(DurableCheckpointTest, FileOfAMismatchingPayloadIsNeverReused) {
   ASSERT_TRUE(store->Commit(9, 10, {}, {}, {Pending(1, 0, 0, good)}).ok());
   EXPECT_NE(store->committed()->blocks[0].file, bad_file);
   EXPECT_EQ(BlockFiles(dir.path).count(bad_file), 0u);
-  auto reopened = MustOpen(dir.path);
+  ASSERT_OPEN(auto reopened, dir.path);
   ASSERT_NE(reopened->committed(), nullptr);
   EXPECT_EQ(reopened->committed()->resume_step, 9);
 }
@@ -449,14 +466,14 @@ TEST(DurableCheckpointTest, EnospcRollbackOfIncrementalCommitRestoresTheDir) {
   for (uint64_t seed = 1; seed <= 16; ++seed) {
     fs::remove_all(dir.path);
     {
-      auto store = MustOpen(dir.path);
+      ASSERT_OPEN(auto store, dir.path);
       ASSERT_TRUE(sample.CommitFirst(store.get()).ok());
     }
     const std::set<std::string> before = FileNames(dir.path);
     DiskFaultSpec spec;
     spec.enospc_prob = 0.5;
     auto io = std::make_shared<StorageIO>(spec, seed);
-    auto store = MustOpen(dir.path, io);
+    ASSERT_OPEN(auto store, dir.path, io);
     const Status st = sample.CommitSecond(store.get());
     if (st.ok()) continue;
     EXPECT_EQ(st.code(), StatusCode::kResourceExhausted) << st;
@@ -483,7 +500,7 @@ TEST(DurableCheckpointTest, CrashDuringIncrementalCommitNeverLosesASharedFile) {
     fs::remove_all(dir.path);
     std::string shared;
     {
-      auto store = MustOpen(dir.path);
+      ASSERT_OPEN(auto store, dir.path);
       ASSERT_TRUE(sample.CommitFirst(store.get()).ok());
       shared = store->committed()->blocks[0].file;
     }
@@ -492,14 +509,14 @@ TEST(DurableCheckpointTest, CrashDuringIncrementalCommitNeverLosesASharedFile) {
     spec.crash_at = crash_at;
     auto io = std::make_shared<StorageIO>(spec, /*seed=*/1,
                                           StorageIO::CrashMode::kSoft);
-    auto store = MustOpen(dir.path, io);
+    ASSERT_OPEN(auto store, dir.path, io);
     const Status st = sample.CommitSecond(store.get());
     completed = st.ok();
     if (!completed) {
       EXPECT_EQ(st.code(), StatusCode::kInternal) << st;
     }
 
-    auto reopened = MustOpen(dir.path);
+    ASSERT_OPEN(auto reopened, dir.path);
     const DurableSnapshot* snap = reopened->committed();
     ASSERT_NE(snap, nullptr) << "crash_at " << crash_at;
     const int resume = snap->resume_step;
@@ -533,13 +550,13 @@ TEST(DurableCheckpointTest, GcLeavesForeignFilesAlone) {
   Overwrite(dir.path + "/blk-7-0.bin", "stale");
   Overwrite(dir.path + "/manifest-8.tmp", "torn");
   {
-    auto store = MustOpen(dir.path);
+    ASSERT_OPEN(auto store, dir.path);
     CommitSample(store.get(), 4, 0.5);
     CommitSample(store.get(), 9, 0.25);
   }
-  auto store = MustOpen(dir.path);
+  ASSERT_OPEN(auto store, dir.path);
   CommitSample(store.get(), 12, 0.125);
-  store = MustOpen(dir.path);
+  ASSERT_OPEN(store, dir.path);
   ASSERT_NE(store->committed(), nullptr);
   EXPECT_EQ(store->committed()->resume_step, 12);
 
@@ -560,7 +577,7 @@ TEST(DurableCheckpointTest, GcLeavesForeignFilesAlone) {
 TEST(DurableCheckpointTest, VersionOneManifestFailsCleanAndDeletesNothing) {
   TempDir dir("v1");
   {
-    auto store = MustOpen(dir.path);
+    ASSERT_OPEN(auto store, dir.path);
     CommitSample(store.get(), 4, 0.5);
   }
   // Re-tag the committed manifest as the previous format, with a valid
@@ -597,7 +614,7 @@ TEST(DurableCheckpointTest, VersionOneManifestFailsCleanAndDeletesNothing) {
 
 TEST(DurableCheckpointTest, FreshDirectoryIsAFreshStart) {
   TempDir dir("fresh");
-  auto store = MustOpen(dir.path);
+  ASSERT_OPEN(auto store, dir.path);
   EXPECT_EQ(store->committed(), nullptr);
   EXPECT_EQ(store->epochs_committed(), 0);
 }

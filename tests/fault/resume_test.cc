@@ -8,6 +8,7 @@
 #include <unistd.h>
 
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <set>
 #include <string>
@@ -150,6 +151,59 @@ TEST(ResumeTest, ResumeWithFreshDirectoryIsAPlainFullRun) {
   ASSERT_TRUE(run.ok()) << run.status();
   EXPECT_FALSE(run->result.stats.resumed);
   ExpectBitIdentical(clean->result, run->result, "resume from fresh dir");
+}
+
+/// A directory whose only epoch does not verify (here a manifest in the
+/// earlier DMACCKPT1 format): a run without --resume restores nothing, so
+/// it runs as on an empty directory and deletes none of those files; a
+/// resume of that directory still fails kDataLoss. Once the run has
+/// committed, a resume restores its epoch and collects the old files.
+TEST(ResumeTest, RunWithoutResumeStartsOverAnUnverifiableDirectory) {
+  const FaultAppCase app = MakeSmallGnmf();
+  const RunConfig base = BaseConfig(31);
+  auto clean = RunProgram(app.program, app.MakeBindings(), base);
+  ASSERT_TRUE(clean.ok()) << clean.status();
+
+  TempDir dir("unverifiable");
+  fs::create_directories(dir.path);
+  const std::set<std::string> seeded = {"manifest-3", "blk-3-0.bin"};
+  for (const std::string& name : seeded) {
+    std::ofstream(dir.path + "/" + name, std::ios::binary)
+        << "DMACCKPT1\nepoch 3\n";
+  }
+  const auto names = [&dir] {
+    std::set<std::string> out;
+    for (const auto& entry : fs::directory_iterator(dir.path)) {
+      out.insert(entry.path().filename().string());
+    }
+    return out;
+  };
+  RunConfig durable = base;
+  durable.checkpoint_dir = dir.path;
+
+  RunConfig resume = durable;
+  resume.resume = true;
+  auto refused = RunProgram(app.program, app.MakeBindings(), resume);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kDataLoss)
+      << refused.status();
+  EXPECT_EQ(names(), seeded);
+
+  auto run = RunProgram(app.program, app.MakeBindings(), durable);
+  ASSERT_TRUE(run.ok()) << run.status();
+  ExpectBitIdentical(clean->result, run->result, "run over old files");
+  EXPECT_GT(run->result.stats.durable_epochs, 0);
+  for (const std::string& name : seeded) {
+    EXPECT_EQ(names().count(name), 1u) << name << " was deleted";
+  }
+
+  auto resumed = RunProgram(app.program, app.MakeBindings(), resume);
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  EXPECT_TRUE(resumed->result.stats.resumed);
+  ExpectBitIdentical(clean->result, resumed->result, "resume of that run");
+  for (const std::string& name : seeded) {
+    EXPECT_EQ(names().count(name), 0u) << name << " outlived a good epoch";
+  }
 }
 
 TEST(ResumeTest, ResumeFromTheWrongPlanFailsClean) {

@@ -91,6 +91,44 @@ inline void GemmSparseSparse(const CscBlock& a, const CscBlock& b,
   }
 }
 
+/// acc += Aᵀ · B with A stored CSC, B dense: each C(i, j) is one dot
+/// product of A's stored column i against B's column j, summed before a
+/// single add into C (the gather kernel, verbatim).
+inline void GemmSparseTDense(const CscBlock& a, const DenseBlock& b,
+                             DenseBlock* acc) {
+  const auto& rows = a.row_idx();
+  const auto& vals = a.values();
+  for (int64_t j = 0; j < b.cols(); ++j) {
+    for (int64_t i = 0; i < a.cols(); ++i) {
+      Scalar sum = 0;
+      for (int32_t p = a.ColStart(i); p < a.ColEnd(i); ++p) {
+        sum += vals[p] * b.col(j)[rows[p]];
+      }
+      acc->col(j)[i] += sum;
+    }
+  }
+}
+
+/// acc += Aᵀ · B with A stored dense k x m, B CSC: each C(i, j) is one dot
+/// product of A's stored column i at B's column-j row indices, summed
+/// before a single add into C (the per-element gather kernel the very
+/// sparse dense·sparse `tn` path ran before its partial-sum form).
+inline void GemmDenseTSparse(const DenseBlock& a, const CscBlock& b,
+                             DenseBlock* acc) {
+  const auto& rows = b.row_idx();
+  const auto& vals = b.values();
+  for (int64_t j = 0; j < b.cols(); ++j) {
+    if (b.ColStart(j) == b.ColEnd(j)) continue;
+    for (int64_t i = 0; i < a.cols(); ++i) {
+      Scalar sum = 0;
+      for (int32_t p = b.ColStart(j); p < b.ColEnd(j); ++p) {
+        sum += vals[p] * a.col(i)[rows[p]];
+      }
+      acc->col(j)[i] += sum;
+    }
+  }
+}
+
 /// Materialized transpose of any block, returned dense (the reference path
 /// for the TransA/TransB kernel flags: transpose first, multiply with the
 /// seed loops after).

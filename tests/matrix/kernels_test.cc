@@ -168,6 +168,148 @@ TEST(KernelDifferentialTest, UntransposedSparsePathsAreBitIdentical) {
   }
 }
 
+// ---- small-block sparse paths keep the previous kernels' bits -------------
+// The sparse·dense A·Bᵀ and A·B kernels and the very sparse dense·sparse
+// Aᵀ·B kernel loop over stored entries only (docs/kernels.md#small-blocks).
+// Each must add every output element's terms in the order of the kernels
+// they replaced — the seed scatter loops over a materialized op(B) and the
+// per-element gather dots of kernel_reference.h — so the outputs must match
+// those to the last bit, at GNMF's block side and on edge shapes.
+
+/// Dense `x` with stored columns `cols` set to zero (signed zeros
+/// alternate, so the kernels' zero-skip must treat -0 as zero too).
+Block ZeroCols(const Block& x, const std::vector<int64_t>& cols) {
+  DenseBlock d = x.dense();
+  for (const int64_t c : cols) {
+    if (c >= d.cols()) continue;
+    for (int64_t r = 0; r < d.rows(); ++r) {
+      d.Set(r, c, (r % 2) != 0 ? -0.0f : 0.0f);
+    }
+  }
+  return Block(std::move(d));
+}
+
+/// Reference for op(A)·op(B) with one sparse operand, by the previous
+/// kernels' loops: transposed dense operands are materialized first (the
+/// staged transpose), a transposed CSC A is read as CSR (gather dot), and
+/// a dense Aᵀ against very sparse B runs the per-element gather dot.
+void PreviousKernel(const Block& a, const Block& b, bool ta, bool tb,
+                    DenseBlock* acc) {
+  if (!a.IsDense()) {
+    const DenseBlock eb = tb ? testref::DenseTranspose(b) : b.ToDense();
+    if (ta) {
+      testref::GemmSparseTDense(a.sparse(), eb, acc);
+    } else {
+      testref::GemmSparseDense(a.sparse(), eb, acc);
+    }
+    return;
+  }
+  if (ta && !tb && b.sparse().nnz() < a.rows()) {
+    testref::GemmDenseTSparse(a.dense(), b.sparse(), acc);
+    return;
+  }
+  const DenseBlock ea = ta ? testref::DenseTranspose(a) : a.dense();
+  const CscBlock eb = tb ? b.sparse().Transposed() : b.sparse();
+  testref::GemmDenseSparse(ea, eb, acc);
+}
+
+TEST(KernelDifferentialTest, SmallBlockSparsePathsMatchPreviousKernelsBitwise) {
+  struct Case {
+    Dims d;
+    double density;
+    std::vector<int64_t> zero_cols;  // of the stored dense operand
+  };
+  const Case cases[] = {
+      {{50, 50, 50}, 0.0118, {}},       // GNMF's block and V density
+      {{50, 50, 50}, 0.3, {3, 4, 49}},  // denser A, all-zero B columns
+      {{50, 50, 50}, 0.0, {}},          // all-zero sparse operand
+      {{1, 50, 50}, 0.05, {0}},         // single output row
+      {{50, 50, 1}, 0.05, {}},          // single output column
+      {{50, 1, 50}, 0.5, {}},           // one inner index
+      {{112, 90, 112}, 0.0118, {7}},    // just under the row-scatter gate
+      {{130, 70, 130}, 0.02, {}},       // over it: the staged path
+  };
+  for (const Case& c : cases) {
+    for (int sparse_a = 0; sparse_a <= 1; ++sparse_a) {
+      for (int ta = 0; ta <= 1; ++ta) {
+        for (int tb = 0; tb <= 1; ++tb) {
+          const int64_t a_rows = ta ? c.d.k : c.d.m;
+          const int64_t a_cols = ta ? c.d.m : c.d.k;
+          const int64_t b_rows = tb ? c.d.n : c.d.k;
+          const int64_t b_cols = tb ? c.d.k : c.d.n;
+          Block a = sparse_a ? RandomSparseBlock(a_rows, a_cols, c.density, 5)
+                             : RandomDenseBlock(a_rows, a_cols, 5);
+          Block b = sparse_a ? RandomDenseBlock(b_rows, b_cols, 6)
+                             : RandomSparseBlock(b_rows, b_cols, c.density, 6);
+          if (sparse_a) {
+            b = ZeroCols(b, c.zero_cols);
+          } else {
+            a = ZeroCols(a, c.zero_cols);
+          }
+          const std::string what =
+              std::string(sparse_a ? "sparse x dense " : "dense x sparse ") +
+              std::to_string(c.d.m) + "x" + std::to_string(c.d.k) + "x" +
+              std::to_string(c.d.n) + " density " +
+              std::to_string(c.density) + " ta=" + std::to_string(ta) +
+              " tb=" + std::to_string(tb);
+          // A non-zero starting accumulator, so the order of the adds into
+          // C is checked too.
+          DenseBlock acc = RandomDenseBlock(c.d.m, c.d.n, 7).dense();
+          DenseBlock want = acc;
+          PreviousKernel(a, b, ta != 0, tb != 0, &want);
+          ASSERT_TRUE(
+              MultiplyAccumulate(a, b, ta != 0, tb != 0, &acc).ok())
+              << what;
+          ExpectBitIdentical(acc, want, what);
+        }
+      }
+    }
+  }
+}
+
+// ---- micro-kernel ISA variants are bit-identical -------------------------
+
+TEST(MicroKernelDispatchTest, StartupPicksTheWidestSupportedVariant) {
+  const std::vector<std::string> supported = SupportedMicroKernels();
+  ASSERT_FALSE(supported.empty());
+  EXPECT_EQ(ActiveMicroKernel(), supported.back());
+  EXPECT_FALSE(UseMicroKernel("no-such-isa"));
+  EXPECT_EQ(ActiveMicroKernel(), supported.back());
+}
+
+TEST(MicroKernelDispatchTest, EverySupportedVariantMatchesBaselineBitwise) {
+  const std::vector<std::string> supported = SupportedMicroKernels();
+  const std::string startup = ActiveMicroKernel();
+  // Ragged edges, one tile, and shapes crossing Mc, Kc and Nc blocking.
+  const Dims shapes[] = {{50, 50, 50},   {1, 300, 17}, {8, 16, 16},
+                         {130, 259, 63}, {45, 75, 19}, {257, 513, 1030}};
+  for (const Dims& d : shapes) {
+    for (int ta = 0; ta <= 1; ++ta) {
+      for (int tb = 0; tb <= 1; ++tb) {
+        const Block a = RandomDenseBlock(ta ? d.k : d.m, ta ? d.m : d.k, 31);
+        const Block b = RandomDenseBlock(tb ? d.n : d.k, tb ? d.k : d.n, 32);
+        DenseBlock base(d.m, d.n);
+        ASSERT_TRUE(UseMicroKernel(supported.front()));
+        ASSERT_TRUE(
+            MultiplyAccumulate(a, b, ta != 0, tb != 0, &base).ok());
+        for (const std::string& variant : supported) {
+          ASSERT_TRUE(UseMicroKernel(variant)) << variant;
+          DenseBlock acc(d.m, d.n);
+          ASSERT_TRUE(
+              MultiplyAccumulate(a, b, ta != 0, tb != 0, &acc).ok());
+          ExpectBitIdentical(acc, base,
+                             variant + " " + std::to_string(d.m) + "x" +
+                                 std::to_string(d.k) + "x" +
+                                 std::to_string(d.n) + " ta=" +
+                                 std::to_string(ta) +
+                                 " tb=" + std::to_string(tb));
+        }
+      }
+    }
+  }
+  ASSERT_TRUE(UseMicroKernel(startup));
+}
+
 // ---- dense flag combinations are bit-identical ---------------------------
 // Packing absorbs the transposes before the micro-kernel runs, so the same
 // logical product computed through any flag combination must agree to the

@@ -11,6 +11,7 @@
 #include "apps/gnmf.h"
 #include "apps/runner.h"
 #include "data/synthetic.h"
+#include "matrix/kernels.h"
 #include "obs/chrome_trace.h"
 #include "obs/metrics.h"
 #include "obs/session.h"
@@ -88,6 +89,9 @@ TEST(ObsExecTest, EnabledRunProducesAllSpanCategoriesAndMetrics) {
   // flops, and each observes its packing time (possibly zero).
   EXPECT_GT(reg.counter(kMetricGemmFlops)->value(), 0);
   EXPECT_GT(reg.histogram(kMetricGemmPackSeconds)->count(), 0);
+  // The micro-kernel variant the run used (docs/kernels.md#isa-dispatch).
+  EXPECT_EQ(reg.gauge(kMetricGemmMicroKernelLevel)->value(),
+            ActiveMicroKernelLevel());
   const std::string json = reg.ToJson();
   EXPECT_NE(json.find(kMetricEngineTasks), std::string::npos);
 

@@ -10,7 +10,8 @@
 //   --bind NAME=FILE  bind a load to a MatrixMarket file
 //   --plan-only       print the plan and exit
 //   --dot             with --plan-only: emit Graphviz instead of text
-//   --stats           print a per-stage compute breakdown after execution
+//   --stats           print the dense micro-kernel variant and a per-stage
+//                     compute breakdown after execution
 //   --compare         run both planners and print a side-by-side summary
 //   --verify-plan     run the static plan verifier (src/analysis) after
 //                     planning; abort on any error diagnostic
@@ -72,6 +73,7 @@
 #include "data/synthetic.h"
 #include "governor/query_session.h"
 #include "lang/parser.h"
+#include "matrix/kernels.h"
 #include "obs/session.h"
 #include "plan/plan_dot.h"
 #include "runtime/block_size.h"
@@ -587,6 +589,8 @@ int main(int argc, char** argv) {
   }
 
   if (stats_flag) {
+    std::printf("\nmicro-kernel: %s (ISA level %d)\n", ActiveMicroKernel(),
+                ActiveMicroKernelLevel());
     std::printf("\nper-stage compute (seconds per worker):\n");
     std::printf("%6s | %10s | %10s | per-worker\n", "stage", "max", "total");
     for (size_t s = 0; s < stats.stage_worker_seconds.size(); ++s) {
