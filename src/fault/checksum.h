@@ -21,8 +21,8 @@
 
 namespace dmac {
 
-/// The "never stamped" checksum marker (fault/checkpoint.h, the partition
-/// stores). A real block hashes to it only with probability 2^-64.
+/// The "never stamped" checksum marker (the partition stores, the durable
+/// store). A real block hashes to it only with probability 2^-64.
 inline constexpr uint64_t kNoChecksum = 0;
 
 /// 64-bit FNV-1a over `len` bytes, continuing from `seed` (0 starts from

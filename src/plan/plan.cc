@@ -32,6 +32,21 @@ const char* StepKindName(StepKind k) {
   return "?";
 }
 
+std::string StepSpanName(const PlanStep& step) {
+  std::string name = StepKindName(step.kind);
+  if (step.kind == StepKind::kCompute) {
+    name += "[";
+    name += OpKindName(step.op_kind);
+    if (step.mult_algo != MultAlgo::kNone) {
+      name += ":";
+      name += MultAlgoName(step.mult_algo);
+    }
+    name += "]";
+  }
+  if (!step.source.empty()) name += " " + step.source;
+  return name;
+}
+
 namespace {
 
 void CollectScalarRefs(const ScalarExprPtr& e,

@@ -117,6 +117,9 @@ struct PlanStep {
   }
 };
 
+/// Trace-span name of a step: "compute[multiply:RMM1]", "broadcast", ...
+std::string StepSpanName(const PlanStep& step);
+
 /// Binding of a program output variable to a plan node.
 struct PlanOutput {
   std::string variable;

@@ -2,11 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <limits>
-#include <map>
 #include <optional>
-#include <set>
 #include <utility>
 #include <vector>
 
@@ -15,18 +12,12 @@
 #include "common/sync.h"
 #include "common/timer.h"
 #include "common/thread_pool.h"
-#include "fault/checkpoint.h"
-#include "fault/durable_checkpoint.h"
-#include "fault/durable_io.h"
-#include "fault/injector.h"
-#include "fault/lineage.h"
-#include "fault/retry_policy.h"
 #include "matrix/kernels.h"
 #include "matrix/mem_tracker.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "runtime/buffer_pool.h"
-#include "runtime/membership.h"
+#include "runtime/recovery.h"
 #include "runtime/transport.h"
 
 namespace dmac {
@@ -94,25 +85,9 @@ class StoreSink {
   int worker_;
 };
 
-/// Trace-span name of a step: "compute[multiply:RMM1]", "broadcast", ...
-std::string StepSpanName(const PlanStep& step) {
-  std::string name = StepKindName(step.kind);
-  if (step.kind == StepKind::kCompute) {
-    name += "[";
-    name += OpKindName(step.op_kind);
-    if (step.mult_algo != MultAlgo::kNone) {
-      name += ":";
-      name += MultAlgoName(step.mult_algo);
-    }
-    name += "]";
-  }
-  if (!step.source.empty()) name += " " + step.source;
-  return name;
-}
-
 }  // namespace
 
-class Executor::Impl {
+class Executor::Impl : public StepRunner {
  public:
   Impl(const ExecutorOptions& opts, const Plan& plan, const Bindings& bindings)
       : opts_(opts),
@@ -122,10 +97,12 @@ class Executor::Impl {
         buffers_(static_cast<size_t>(opts.threads_per_worker) * 2),
         engine_(&pool_, &buffers_, opts.local_mode, opts.density_threshold,
                 opts.task_scheduling),
-        node_data_(plan.nodes.size()),
         gov_(opts.governor),
         node_last_use_(plan.nodes.size(), -1),
-        transport_(opts.num_workers, &stats_, &recovering_) {
+        recovery_(Recovery::Create(opts_, plan_, &store_, &stats_,
+                                   &transport_, this)),
+        transport_(opts.num_workers, &stats_) {
+    store_.nodes.resize(plan.nodes.size());
     if (gov_.token.active()) engine_.SetCancelToken(&gov_.token);
     if (gov_.budget != nullptr) buffers_.SetBudget(gov_.budget);
     // CSC→CSR conversion cache for plan steps marked by MarkOperandReuse
@@ -155,8 +132,7 @@ class Executor::Impl {
   Result<ExecutionResult> Run() {
     DMAC_RETURN_NOT_OK(CheckCancel());  // a 0 ms deadline fails before work
     DMAC_RETURN_NOT_OK(PickBlockSize());
-    DMAC_RETURN_NOT_OK(SetUpFaultTolerance());
-    DMAC_RETURN_NOT_OK(MaybeResume());
+    DMAC_RETURN_NOT_OK(recovery_->Start());
     MemTracker::Global().ResetPeak();
     const int64_t mem_before_peak = MemTracker::Global().peak_bytes();
 
@@ -166,18 +142,11 @@ class Executor::Impl {
     int current_stage = std::numeric_limits<int>::min();
     std::optional<TraceSpan> stage_span;
     for (const PlanStep& step : plan_.steps) {
-      if (step.id <= resume_skip_step_) {
-        // The restored snapshot covers this step. Bump the LRU clock the
-        // way an uninterrupted run would (spill ordering parity), then
-        // either skip it or — for the load steps of reload-marked nodes —
-        // re-execute it against the caller's bindings.
+      DMAC_ASSIGN_OR_RETURN(const bool resumed, recovery_->Resumed(step));
+      if (resumed) {
+        // Bump the LRU clock the way an uninterrupted run would (spill
+        // ordering parity).
         TickLruClock(step);
-        if (reload_step_ids_.count(step.id) != 0) {
-          DMAC_RETURN_NOT_OK(ExecuteStep(step));
-          // Lineage only: the snapshot's checkpoint counter already
-          // includes this step's contribution from the original run.
-          RecordLineage(step);
-        }
         continue;
       }
       const bool tracing = TraceRecorder::Global().enabled();
@@ -196,11 +165,11 @@ class Executor::Impl {
                                   TraceArg("step", int64_t{step.id}))
                   : TraceSpan();
       DMAC_RETURN_NOT_OK(GovernStep(step));
-      Status step_status = ft_ ? RunStepWithRecovery(step) : ExecuteStep(step);
+      Status step_status = recovery_->RunStep(step);
       if (!step_status.ok() && gov_.token.active() && gov_.token.Fired()) {
         // The engine observed the token mid-kernel; surface the governance
         // status (and its one cancel span), not the kernel's unwind error.
-        DropOutput(step);
+        store_.DropOutput(step);
         DMAC_RETURN_NOT_OK(CheckCancel());
       }
       DMAC_RETURN_NOT_OK(step_status);
@@ -210,15 +179,7 @@ class Executor::Impl {
     metric_stages_->Set(plan_.num_stages);
     metric_microkernel_level_->Set(ActiveMicroKernelLevel());
 
-    if (injector_ != nullptr) {
-      // Boundary faults injected after the last consumer of a node can
-      // linger into the gather; one final recovery sweep repairs them.
-      DMAC_RETURN_NOT_OK(RecoverAll());
-      stats_.faults_injected = injector_->faults_drawn();
-      metric_fault_injected_->Add(
-          static_cast<double>(stats_.faults_injected));
-    }
-    ExportFaultNetworkStats();
+    DMAC_RETURN_NOT_OK(recovery_->Finish());
 
     ExecutionResult result;
     for (const PlanOutput& out : plan_.outputs) {
@@ -227,8 +188,8 @@ class Executor::Impl {
       result.matrices.emplace(out.variable, std::move(m));
     }
     for (const auto& [var, ssa] : plan_.scalar_outputs) {
-      auto it = scalars_.find(ssa);
-      if (it == scalars_.end()) {
+      auto it = store_.scalars.find(ssa);
+      if (it == store_.scalars.end()) {
         return Status::NotFound("scalar output " + ssa + " never computed");
       }
       result.scalars.emplace(var, it->second);
@@ -248,8 +209,8 @@ class Executor::Impl {
   /// planner.estimate.drift gauge makes that visible, and the .events
   /// counter fires when the divergence exceeds 4x (docs/planner.md).
   void RecordEstimateDrift() {
-    for (size_t i = 0; i < node_data_.size(); ++i) {
-      const auto& dm = node_data_[i];
+    for (size_t i = 0; i < store_.nodes.size(); ++i) {
+      const auto& dm = store_.nodes[i];
       if (dm == nullptr) continue;
       int64_t nnz = 0;
       bool complete = true;
@@ -311,21 +272,15 @@ class Executor::Impl {
     return plan_.nodes[static_cast<size_t>(id)];
   }
 
-  DistMatrix& Data(int node_id) {
-    DMAC_CHECK(node_data_[static_cast<size_t>(node_id)] != nullptr)
-        << "node " << node_id << " has no materialized data";
-    return *node_data_[static_cast<size_t>(node_id)];
-  }
-
-  std::shared_ptr<DistMatrix> NewData(int node_id, Shape shape) {
+  std::shared_ptr<DistMatrix> NewData(int node_id, Shape shape) override {
     const PlanNode& node = NodeOf(node_id);
     auto dm = std::make_shared<DistMatrix>(BlockGrid{shape, block_size_},
                                            node.scheme(), opts_.num_workers);
     if (gov_.budget != nullptr || gov_.spill != nullptr) {
       dm->SetGovernor(gov_.budget, gov_.spill);
     }
-    if (!host_map_.empty()) dm->SetRebalanceMap(host_map_);
-    node_data_[static_cast<size_t>(node_id)] = dm;
+    if (!store_.host_map.empty()) dm->SetRebalanceMap(store_.host_map);
+    store_.nodes[static_cast<size_t>(node_id)] = dm;
     return dm;
   }
 
@@ -333,46 +288,37 @@ class Executor::Impl {
   /// both in ExecStats and as a worker-attributed trace span. Block tasks
   /// the engine runs inside `fn` inherit the worker id for their spans.
   ///
-  /// This is also the task-launch fault-injection point: with an active
-  /// injector (and outside recovery) the launch can fail transiently or
-  /// straggle. `idempotent` marks whether running `fn` twice yields the
-  /// same state — true for the sink-writing sites (a second run overwrites
-  /// the same store keys with identical blocks), false for the accumulating
-  /// closures (CPMM phase 1, reduce) — and gates straggler speculation.
+  /// This is also the task-launch fault-injection point: the launch can
+  /// fail transiently or straggle (Recovery::DrawLaunchFault). `idempotent`
+  /// marks whether running `fn` twice yields the same state — true for the
+  /// sink-writing sites (a second run overwrites the same store keys with
+  /// identical blocks), false for the accumulating closures (CPMM phase 1,
+  /// reduce) — and gates straggler speculation.
   template <typename Fn>
   Status TimedWorker(const PlanStep& step, int worker, Fn&& fn,
                      bool idempotent = true) {
-    // Recovery attempts are not re-injected — except a permanent fault,
-    // which by definition fails every attempt until retries exhaust.
-    if (injector_ != nullptr &&
-        (!recovering_ ||
-         step.id == injector_->spec().permanent_fail_step)) {
-      if (injector_->DrawTransientFailure(step.id)) {
-        return Status::Unavailable("injected transient failure on worker " +
-                                   std::to_string(worker) + " in step " +
-                                   std::to_string(step.id));
-      }
-      const double delay = injector_->DrawStragglerDelay();
-      if (delay > 0) {
-        return StraggledWorker(step, worker, std::forward<Fn>(fn), idempotent,
-                               delay);
-      }
+    DMAC_ASSIGN_OR_RETURN(const double delay,
+                          recovery_->DrawLaunchFault(step, worker));
+    if (delay > 0) {
+      return StraggledWorker(step, worker, std::forward<Fn>(fn), idempotent,
+                             delay);
     }
     // Logical slot `worker` may be hosted by a survivor after a permanent
     // death; timing and spans attribute to the physical host while the
     // block layout stays keyed by the logical slot (bit identity).
     const int host = Host(worker);
+    const bool recovering = transport_.recovering();
     TraceSpan span =
         TraceRecorder::Global().enabled()
-            ? TraceSpan(recovering_ ? kTraceRecovery : kTraceWorker,
+            ? TraceSpan(recovering ? kTraceRecovery : kTraceWorker,
                         StepSpanName(step), host,
                         TraceArg("stage", int64_t{step.stage}))
             : TraceSpan();
     engine_.SetWorkerContext(host);
     Timer timer;
     Status st = fn();
-    if (recovering_) {
-      AddRecoverySeconds(step.stage, timer.ElapsedSeconds());
+    if (recovering) {
+      AddRecoverySeconds(&stats_, step.stage, timer.ElapsedSeconds());
     } else {
       stats_.AddWorkerSeconds(step.stage, host, timer.ElapsedSeconds());
     }
@@ -398,7 +344,7 @@ class Executor::Impl {
     const double measured = timer.ElapsedSeconds();
     if (st.ok() && opts_.fault.speculate && idempotent &&
         opts_.num_workers > 1) {
-      AddRecoverySeconds(step.stage, measured + delay);
+      AddRecoverySeconds(&stats_, step.stage, measured + delay);
       ++stats_.speculated_tasks;
       metric_fault_speculated_->Increment();
       const int backup = Host((worker + 1) % opts_.num_workers);
@@ -413,14 +359,9 @@ class Executor::Impl {
     return st;
   }
 
-  void AddRecoverySeconds(int stage, double seconds) {
-    stats_.AddRecoverySeconds(stage, seconds);
-    metric_fault_recovery_seconds_->Add(seconds);
-  }
-
-  /// Reads a block for a cross-worker transfer, verifying integrity in
-  /// fault-tolerant runs. Missing blocks are DataLoss (retryable after
-  /// recovery) rather than an internal error.
+  /// Reads a block for a cross-worker transfer, verifying its checksum
+  /// when one is stamped (fault-tolerant runs). Missing blocks are
+  /// DataLoss (retryable after recovery) rather than an internal error.
   Result<DistMatrix::BlockPtr> VerifiedGet(const DistMatrix& src, int worker,
                                            int64_t bi, int64_t bj,
                                            const char* what) {
@@ -430,7 +371,7 @@ class Executor::Impl {
                               std::to_string(bi) + ", " + std::to_string(bj) +
                               ") missing on worker " + std::to_string(worker));
     }
-    if (ft_) DMAC_RETURN_NOT_OK(src.VerifyAt(worker, bi, bj));
+    DMAC_RETURN_NOT_OK(src.VerifyAt(worker, bi, bj));
     return ptr;
   }
 
@@ -438,7 +379,7 @@ class Executor::Impl {
 
   /// Cooperative cancellation poll. The first failed check emits one
   /// `cancel` trace span recording how the query ended.
-  Status CheckCancel() {
+  Status CheckCancel() override {
     if (!gov_.token.active()) return Status::Ok();
     Status st = gov_.token.Check();
     if (!st.ok() && !cancel_span_emitted_) {
@@ -471,14 +412,6 @@ class Executor::Impl {
     }
   }
 
-  /// Drops whatever a failed step left of its output: no partial output
-  /// may survive in the stores.
-  void DropOutput(const PlanStep& step) {
-    if (step.output >= 0) {
-      node_data_[static_cast<size_t>(step.output)] = nullptr;
-    }
-  }
-
   /// Spills cold nodes (LRU by last-touching step, ids ascending as the
   /// tiebreak) until the budget has room for the step's pinned working set
   /// — its inputs, all of which must be resident at once. Fails with
@@ -488,7 +421,7 @@ class Executor::Impl {
     int64_t pinned = 0;
     int64_t spilled_inputs = 0;
     for (int input : step.inputs) {
-      const auto& dm = node_data_[static_cast<size_t>(input)];
+      const auto& dm = store_.nodes[static_cast<size_t>(input)];
       if (dm == nullptr) continue;
       pinned += dm->OwnedBytes();
       spilled_inputs += dm->SpilledBytes();
@@ -506,8 +439,8 @@ class Executor::Impl {
     if (need <= 0) return Status::Ok();
 
     std::vector<std::pair<int, int>> candidates;  // (last_use, node id)
-    for (size_t id = 0; id < node_data_.size(); ++id) {
-      if (node_data_[id] == nullptr) continue;
+    for (size_t id = 0; id < store_.nodes.size(); ++id) {
+      if (store_.nodes[id] == nullptr) continue;
       const int node = static_cast<int>(id);
       if (node == step.output ||
           std::find(step.inputs.begin(), step.inputs.end(), node) !=
@@ -521,7 +454,7 @@ class Executor::Impl {
     int64_t freed = 0;
     for (const auto& [last_use, node] : candidates) {
       if (freed >= need) break;
-      auto& dm = node_data_[static_cast<size_t>(node)];
+      auto& dm = store_.nodes[static_cast<size_t>(node)];
       TraceSpan span(kTraceSpill, "spill node " + std::to_string(node), -1,
                      TraceArg("node", int64_t{node}));
       DMAC_ASSIGN_OR_RETURN(int64_t f, dm->SpillColdBlocks(need - freed));
@@ -541,7 +474,7 @@ class Executor::Impl {
   /// this too, not just the main loop). No-op without a spill store.
   Status EnsureInputsResident(const PlanStep& step) {
     for (int input : step.inputs) {
-      auto& dm = node_data_[static_cast<size_t>(input)];
+      auto& dm = store_.nodes[static_cast<size_t>(input)];
       if (dm == nullptr || dm->SpilledEntries() == 0) continue;
       TraceSpan span(kTraceSpill, "restore node " + std::to_string(input),
                      -1, TraceArg("node", int64_t{input}));
@@ -550,668 +483,11 @@ class Executor::Impl {
     return Status::Ok();
   }
 
-  // ---- fault tolerance (docs/fault_tolerance.md) --------------------------
-
-  Status SetUpFaultTolerance() {
-    const bool durable = !opts_.checkpoint_dir.empty();
-    // A durable directory implies checkpointing: default the cadence to
-    // every producing step so a bare --checkpoint-dir is crash-safe.
-    effective_checkpoint_every_ =
-        opts_.checkpoint_every > 0 ? opts_.checkpoint_every : (durable ? 1 : 0);
-    ft_ = opts_.fault.enabled || effective_checkpoint_every_ > 0;
-    min_workers_ = std::min(std::max(opts_.min_workers, 1), opts_.num_workers);
-    if (durable) {
-      DMAC_RETURN_NOT_OK(opts_.fault.disk.Validate());
-      // Salted so the disk schedule is independent of the injector's and
-      // the data seed's streams (durable_io.h header comment).
-      storage_io_ = std::make_shared<StorageIO>(
-          opts_.fault.disk, opts_.fault.seed ^ 0x5d15c0de5d15c0deULL,
-          opts_.fault.disk.crash_soft ? StorageIO::CrashMode::kSoft
-                                      : StorageIO::CrashMode::kHard);
-      // A run that does not resume restores nothing, so a directory with
-      // no verifiable epoch (say, an older on-disk format) is as good as
-      // an empty one for it.
-      DMAC_ASSIGN_OR_RETURN(
-          durable_store_,
-          DurableCheckpointStore::Open(
-              opts_.checkpoint_dir, storage_io_,
-              opts_.resume
-                  ? DurableCheckpointStore::OnUnverifiable::kFail
-                  : DurableCheckpointStore::OnUnverifiable::kStartEmpty));
-    }
-    if (!ft_) return Status::Ok();
-    retry_policy_ = RetryPolicy{opts_.fault.max_retries,
-                                opts_.fault.backoff_base_seconds,
-                                /*multiplier=*/2.0, /*cap_seconds=*/0,
-                                /*jitter_fraction=*/0, opts_.fault.seed};
-    if (opts_.fault.enabled) {
-      DMAC_RETURN_NOT_OK(opts_.fault.Validate());
-      injector_ = std::make_unique<FaultInjector>(opts_.fault);
-      const bool death_possible =
-          opts_.fault.death_prob > 0 || opts_.fault.death_step >= 0;
-      if (death_possible || opts_.fault.net.Any()) {
-        membership_ = std::make_unique<ClusterMembership>(opts_.num_workers);
-        transport_.EnableNetwork(injector_.get(), membership_.get(),
-                                 retry_policy_);
-      }
-    }
-    plan_has_hints_ = false;
-    for (const PlanNode& node : plan_.nodes) {
-      plan_has_hints_ = plan_has_hints_ || node.checkpoint_hint;
-    }
-    return Status::Ok();
-  }
-
   int Host(int w) const { return transport_.Host(w); }
-
-  /// Copies membership and network-fault accounting into ExecStats and the
-  /// metric registry at the end of a run.
-  void ExportFaultNetworkStats() {
-    if (storage_io_ != nullptr) {
-      stats_.disk_faults_injected = storage_io_->faults_injected();
-      metric_fault_disk_faults_->Add(
-          static_cast<double>(stats_.disk_faults_injected));
-    }
-    if (membership_ != nullptr) {
-      stats_.membership_epoch = membership_->epoch();
-      metric_membership_epoch_->Set(
-          static_cast<double>(membership_->epoch()));
-      metric_membership_dead_->Set(
-          static_cast<double>(membership_->dead_workers()));
-      metric_membership_detection_->Add(stats_.detection_seconds);
-    }
-    if (transport_.network() == nullptr) return;
-    const NetFaultStats& ns = transport_.network()->stats();
-    stats_.net_messages = ns.messages;
-    stats_.net_retransmits = ns.retransmits;
-    stats_.net_retrans_bytes = ns.retrans_bytes;
-    stats_.net_duplicates = ns.duplicates;
-    stats_.net_reordered = ns.reordered;
-    stats_.net_delay_seconds = ns.delay_seconds;
-    stats_.net_partitions = ns.partitions;
-    stats_.net_stale_fenced = ns.stale_fenced;
-    stats_.net_stale_applied = ns.stale_applied;
-    metric_net_messages_->Add(static_cast<double>(ns.messages));
-    metric_net_retransmits_->Add(static_cast<double>(ns.retransmits));
-    metric_net_retrans_bytes_->Add(ns.retrans_bytes);
-    metric_net_duplicates_->Add(static_cast<double>(ns.duplicates));
-    metric_net_reordered_->Add(static_cast<double>(ns.reordered));
-    metric_net_delay_seconds_->Add(ns.delay_seconds);
-    metric_net_partitions_->Add(static_cast<double>(ns.partitions));
-    metric_net_stale_fenced_->Add(static_cast<double>(ns.stale_fenced));
-    metric_net_stale_applied_->Add(static_cast<double>(ns.stale_applied));
-  }
-
-  /// Fault-tolerant step execution: inject boundary faults, then attempt
-  /// the step up to 1 + max_retries times. A retryable failure (transient
-  /// Unavailable, detected DataLoss) triggers exponential backoff and full
-  /// lineage recovery before the next attempt; retried attempts run as
-  /// recovery work so the useful-compute totals stay clean. On success the
-  /// output's lineage manifest is recorded and checkpointing may trigger.
-  Status RunStepWithRecovery(const PlanStep& step) {
-    if (injector_ != nullptr) InjectBoundaryFaults(step);
-    // Below quorum the run fails clean — no retries burned, no recovery
-    // attempted, no partial output left behind.
-    if (!quorum_status_.ok()) {
-      DropOutput(step);
-      return quorum_status_;
-    }
-    Status st;
-    for (int attempt = 0;; ++attempt) {
-      st = AttemptStep(step, attempt);
-      if (st.ok()) break;
-      // An in-flight death during the attempt may have dropped the cluster
-      // below quorum; give up before the retry machinery spends anything.
-      if (!quorum_status_.ok()) {
-        DropOutput(step);
-        return quorum_status_;
-      }
-      // A fired token preempts the retry path: the query exits promptly —
-      // no retry counted, no simulated backoff, no recovery sweep — and no
-      // partial output survives.
-      if (gov_.token.active()) {
-        Status cancelled = gov_.token.Check();
-        if (!cancelled.ok()) {
-          DropOutput(step);
-          DMAC_RETURN_NOT_OK(CheckCancel());  // emits the cancel span
-        }
-      }
-      const bool retryable = RetryPolicy::Retryable(st);
-      if (!retryable || attempt >= retry_policy_.max_retries) {
-        DropOutput(step);  // give up cleanly
-        if (retryable) {
-          const std::string msg = "step " + std::to_string(step.id) +
-                                  " failed after " +
-                                  std::to_string(attempt + 1) +
-                                  " attempts: " + st.message();
-          return st.code() == StatusCode::kUnavailable
-                     ? Status::Unavailable(msg)
-                     : Status::DataLoss(msg);
-        }
-        return st;
-      }
-      TraceSpan span(kTraceRecovery, "retry " + StepSpanName(step), -1,
-                     TraceArg("step", int64_t{step.id}) + "," +
-                         TraceArg("attempt", int64_t{attempt + 1}));
-      stats_.AddRetry(step.stage);
-      metric_fault_retries_->Increment();
-      // Simulated exponential backoff; transient faults clear with time.
-      AddRecoverySeconds(step.stage, retry_policy_.BackoffSeconds(attempt));
-      DMAC_RETURN_NOT_OK(RecoverAll());
-    }
-    DMAC_RETURN_NOT_OK(AfterStepSuccess(step));
-    return st;
-  }
-
-  Status AttemptStep(const PlanStep& step, int attempt) {
-    // The first attempt is the useful one; repeats are recovery work (no
-    // further injection, seconds and bytes attributed to recovery).
-    recovering_ = attempt > 0;
-    // A failed attempt may have left undelivered sends queued (e.g. a
-    // missing block detected mid-shuffle); they must never leak into a
-    // later flush.
-    transport_.DropPending();
-    Status st = PreflightStepInputs(step);
-    if (st.ok()) st = ExecuteStep(step);
-    recovering_ = false;
-    return st;
-  }
-
-  /// Verifies every input node of `step` against its lineage manifest:
-  /// all recorded blocks present and hashing to their recorded checksums.
-  Status PreflightStepInputs(const PlanStep& step) {
-    for (int input : step.inputs) {
-      const NodeLineage* lin = lineage_.Find(input);
-      if (lin == nullptr) continue;  // produced before fault mode engaged
-      const auto& dm = node_data_[static_cast<size_t>(input)];
-      if (dm == nullptr) {
-        return Status::DataLoss("input node " + std::to_string(input) +
-                                " has no materialized data");
-      }
-      const int64_t bcols = dm->grid().block_cols();
-      for (const LineageBlockRecord& rec : lin->blocks) {
-        DMAC_RETURN_NOT_OK(
-            dm->VerifyAt(rec.worker, rec.key / bcols, rec.key % bcols));
-      }
-    }
-    return Status::Ok();
-  }
-
-  /// Step-boundary injection: worker crashes, permanent worker deaths, and
-  /// per-entry lost/corrupted blocks, applied to every live node in a
-  /// deterministic sweep (nodes by id, workers ascending, store keys
-  /// ascending) so a seed always yields the same schedule.
-  void InjectBoundaryFaults(const PlanStep& step) {
-    int victim = -1;
-    if (injector_->DrawCrash(opts_.num_workers, &victim)) {
-      TraceSpan span(kTraceRecovery, "inject-crash", victim);
-      for (auto& dm : node_data_) {
-        if (dm != nullptr) dm->ClearWorker(victim);
-      }
-    }
-    if (membership_ != nullptr) {
-      // Forced death at a chosen step boundary (death_in_flight instead
-      // fires mid-CPMM, at the communication-round boundary).
-      if (opts_.fault.death_step == step.id && !opts_.fault.death_in_flight &&
-          !forced_death_applied_) {
-        forced_death_applied_ = true;
-        ApplyDeath(opts_.fault.death_worker, step.stage);
-      }
-      // Probabilistic deaths are quorum-budgeted: once one more death would
-      // drop the cluster below min_workers, no further draw is consumed —
-      // the fault schedule of the surviving spec stays deterministic.
-      if (opts_.fault.death_prob > 0 &&
-          membership_->live_workers() - 1 >= min_workers_ &&
-          injector_->DrawWorkerDeath()) {
-        const int k = injector_->DrawVictim(membership_->live_workers());
-        int seen = 0;
-        for (int w = 0; w < opts_.num_workers; ++w) {
-          if (membership_->IsDead(w)) continue;
-          if (seen++ == k) {
-            ApplyDeath(w, step.stage);
-            break;
-          }
-        }
-      }
-    }
-    const bool per_entry = opts_.fault.lost_block_prob > 0 ||
-                           opts_.fault.corrupt_prob > 0;
-    if (!per_entry) return;
-    for (auto& dm : node_data_) {
-      if (dm == nullptr) continue;
-      const int64_t bcols = dm->grid().block_cols();
-      for (int w = 0; w < opts_.num_workers; ++w) {
-        for (int64_t key : dm->SortedWorkerKeys(w)) {
-          const int64_t bi = key / bcols;
-          const int64_t bj = key % bcols;
-          if (injector_->DrawLostBlock()) {
-            dm->Drop(w, bi, bj);
-            continue;
-          }
-          if (injector_->DrawCorruptBlock()) {
-            auto ptr = dm->Get(w, bi, bj);
-            if (ptr == nullptr) continue;  // spilled: no payload in memory
-            dm->ReplacePayload(w, bi, bj,
-                               std::make_shared<const Block>(CorruptedCopy(
-                                   *ptr, injector_->DrawSeed())));
-          }
-        }
-      }
-    }
-  }
-
-  /// Permanently kills logical worker `victim`: the failure detector
-  /// declares it dead (bumping the membership epoch, which fences any
-  /// in-flight transfer it sent), its blocks vanish from every store, and
-  /// its logical slot is rebalanced onto a deterministic survivor. The
-  /// lost blocks are re-derived through the ordinary lineage machinery
-  /// (checkpoint → replica → recompute) on the next recovery sweep. Below
-  /// quorum this arms `quorum_status_` instead of attempting recovery.
-  void ApplyDeath(int victim, int stage) {
-    if (victim < 0 || victim >= opts_.num_workers) return;
-    if (membership_->IsDead(victim)) return;  // death is permanent
-    const double detection = membership_->DeclareDead(victim);
-    stats_.detection_seconds += detection;
-    AddRecoverySeconds(stage, detection);
-    ++stats_.workers_dead;
-    for (auto& dm : node_data_) {
-      if (dm != nullptr) dm->ClearWorker(victim);
-    }
-    host_map_ = membership_->HostMap();
-    for (auto& dm : node_data_) {
-      if (dm != nullptr) dm->SetRebalanceMap(host_map_);
-    }
-    TraceSpan span(kTraceMembership, "worker-death", victim,
-                   TraceArg("epoch", membership_->epoch()) + "," +
-                       TraceArg("live", int64_t{membership_->live_workers()}));
-    if (membership_->live_workers() < min_workers_) {
-      quorum_status_ = Status::Unavailable(
-          "worker " + std::to_string(victim) + " died permanently, leaving " +
-          std::to_string(membership_->live_workers()) +
-          " live workers below the quorum of " + std::to_string(min_workers_));
-    }
-  }
-
-  /// Repairs every damaged node, cheapest source first: checkpoint restore,
-  /// then a surviving Broadcast replica, then recomputation by re-running
-  /// the lineage producer step. Walks nodes in producer-step order, so a
-  /// recomputed step always reads already-repaired inputs. All repaired
-  /// state is re-verified against the lineage manifests — recovery is only
-  /// allowed to reproduce the run bit-identically.
-  [[nodiscard]] Status RecoverAll() {
-    TraceSpan span(kTraceRecovery, "recover-all");
-    recovering_ = true;
-    Status st = RecoverAllImpl();
-    recovering_ = false;
-    return st;
-  }
-
-  [[nodiscard]] Status RecoverAllImpl() {
-    for (const PlanStep& step : plan_.steps) {
-      if (step.output < 0) continue;
-      const NodeLineage* lin = lineage_.Find(step.output);
-      if (lin == nullptr) continue;  // not (successfully) produced yet
-      DMAC_RETURN_NOT_OK(RecoverNode(step.output, *lin));
-    }
-    return Status::Ok();
-  }
-
-  [[nodiscard]] Status RecoverNode(int node_id, const NodeLineage& lin) {
-    auto& dm = node_data_[static_cast<size_t>(node_id)];
-    std::vector<LineageBlockRecord> dirty;
-    if (dm == nullptr) {
-      dirty = lin.blocks;
-    } else {
-      const int64_t bcols = dm->grid().block_cols();
-      for (const LineageBlockRecord& rec : lin.blocks) {
-        if (!dm->VerifyAt(rec.worker, rec.key / bcols, rec.key % bcols)
-                 .ok()) {
-          dirty.push_back(rec);
-        }
-      }
-    }
-    if (dirty.empty()) return Status::Ok();
-
-    TraceSpan span =
-        TraceRecorder::Global().enabled()
-            ? TraceSpan(kTraceRecovery, "recover node " + NodeOf(node_id).ToString(),
-                        -1, TraceArg("node", int64_t{node_id}) + "," +
-                                TraceArg("dirty",
-                                         static_cast<int64_t>(dirty.size())))
-            : TraceSpan();
-
-    // 1. Checkpoint restore: the payloads recorded at checkpoint time.
-    if (dm != nullptr) {
-      if (const auto* snap = checkpoints_.Find(node_id)) {
-        std::vector<LineageBlockRecord> remaining;
-        const int64_t bcols = dm->grid().block_cols();
-        for (const LineageBlockRecord& rec : dirty) {
-          const CheckpointBlock* found = nullptr;
-          for (const CheckpointBlock& cb : *snap) {
-            if (cb.worker == rec.worker && cb.key == rec.key &&
-                cb.checksum == rec.checksum) {
-              found = &cb;
-              break;
-            }
-          }
-          if (found != nullptr) {
-            dm->Put(rec.worker, rec.key / bcols, rec.key % bcols,
-                    found->block);
-            ++stats_.restored_blocks;
-            metric_fault_restored_->Increment();
-          } else {
-            remaining.push_back(rec);
-          }
-        }
-        dirty = std::move(remaining);
-      }
-    }
-
-    // 2. Broadcast replica repair: copy a surviving, verifying replica.
-    if (dm != nullptr && !dirty.empty() &&
-        dm->scheme() == Scheme::kBroadcast) {
-      std::vector<LineageBlockRecord> remaining;
-      const int64_t bcols = dm->grid().block_cols();
-      for (const LineageBlockRecord& rec : dirty) {
-        const int64_t bi = rec.key / bcols;
-        const int64_t bj = rec.key % bcols;
-        bool repaired = false;
-        for (int w = 0; w < opts_.num_workers && !repaired; ++w) {
-          if (w == rec.worker) continue;
-          // The replica must be resident, not just verifiable: VerifyAt
-          // passes spilled entries (their file carries the checksum), but
-          // Get on one yields null and a null Put would tombstone the slot.
-          DistMatrix::BlockPtr replica = dm->Get(w, bi, bj);
-          if (replica != nullptr && dm->VerifyAt(w, bi, bj).ok()) {
-            dm->Put(rec.worker, bi, bj, std::move(replica));
-            ++stats_.restored_blocks;
-            metric_fault_restored_->Increment();
-            repaired = true;
-          }
-        }
-        if (!repaired) remaining.push_back(rec);
-      }
-      dirty = std::move(remaining);
-    }
-
-    // 3. Recompute from lineage: re-run the producer step (deterministic,
-    //    so the rebuilt matrix is bit-identical). Inputs were repaired by
-    //    earlier iterations of the producer-order walk.
-    if (!dirty.empty()) {
-      const PlanStep& producer =
-          plan_.steps[static_cast<size_t>(lin.producer_step)];
-      DMAC_RETURN_NOT_OK(ExecuteStep(producer));
-      stats_.AddRecomputed(producer.stage,
-                           static_cast<int64_t>(dirty.size()));
-      metric_fault_recomputed_->Add(static_cast<double>(dirty.size()));
-    }
-
-    // Re-stamp and enforce bit-identity with the recorded manifest.
-    auto& repaired = node_data_[static_cast<size_t>(node_id)];
-    if (repaired == nullptr) {
-      return Status::Internal("recovery left node " +
-                              std::to_string(node_id) + " unmaterialized");
-    }
-    repaired->SetChecksums();
-    const int64_t bcols = repaired->grid().block_cols();
-    for (const LineageBlockRecord& rec : lin.blocks) {
-      if (repaired->ChecksumAt(rec.worker, rec.key / bcols,
-                               rec.key % bcols) != rec.checksum) {
-        return Status::Internal(
-            "recovery of node " + std::to_string(node_id) +
-            " diverged from its lineage manifest at block key " +
-            std::to_string(rec.key) + " on worker " +
-            std::to_string(rec.worker));
-      }
-    }
-    return Status::Ok();
-  }
-
-  /// Post-success bookkeeping of a fault-tolerant step: stamp checksums,
-  /// record the output's lineage manifest, and checkpoint when due.
-  Status AfterStepSuccess(const PlanStep& step) {
-    if (step.output < 0) return Status::Ok();
-    RecordLineage(step);
-    return MaybeCheckpoint(step);
-  }
-
-  /// Stamps the output's checksums and records its lineage manifest.
-  void RecordLineage(const PlanStep& step) {
-    DistMatrix& dm = Data(step.output);
-    dm.SetChecksums();
-    NodeLineage lin;
-    lin.node_id = step.output;
-    lin.producer_step = step.id;
-    lin.inputs = step.inputs;
-    const int64_t bcols = dm.grid().block_cols();
-    for (int w = 0; w < opts_.num_workers; ++w) {
-      for (int64_t key : dm.SortedWorkerKeys(w)) {
-        lin.blocks.push_back(
-            {w, key, dm.ChecksumAt(w, key / bcols, key % bcols)});
-      }
-    }
-    lineage_.Record(std::move(lin));
-  }
-
-  [[nodiscard]] Status MaybeCheckpoint(const PlanStep& step) {
-    if (effective_checkpoint_every_ <= 0) return Status::Ok();
-    const PlanNode& node = NodeOf(step.output);
-    if (plan_has_hints_ && !node.checkpoint_hint) return Status::Ok();
-    if (++checkpoint_counter_ % effective_checkpoint_every_ != 0) {
-      return Status::Ok();
-    }
-    TraceSpan span(kTraceCheckpoint, "checkpoint " + node.ToString(), -1,
-                   TraceArg("node", int64_t{node.id}));
-    const DistMatrix& dm = Data(step.output);
-    const int64_t bcols = dm.grid().block_cols();
-    // Blocks are immutable and fault injection replaces a payload instead
-    // of mutating it, so the snapshot shares the store's pointers.
-    std::vector<CheckpointBlock> blocks;
-    for (int w = 0; w < opts_.num_workers; ++w) {
-      for (int64_t key : dm.SortedWorkerKeys(w)) {
-        blocks.push_back({w, key, dm.ChecksumAt(w, key / bcols, key % bcols),
-                          dm.Get(w, key / bcols, key % bcols)});
-      }
-    }
-    const int64_t before = checkpoints_.bytes_written();
-    checkpoints_.Put(step.output, std::move(blocks));
-    const int64_t written = checkpoints_.bytes_written() - before;
-    stats_.checkpoint_bytes += written;
-    metric_fault_checkpoint_bytes_->Add(static_cast<double>(written));
-    if (durable_store_ == nullptr) return Status::Ok();
-    return CommitDurable(step);
-  }
-
-  /// Commits a durable epoch covering everything a restart needs to resume
-  /// after `step`: the scalar environment, reload markers for the nodes
-  /// produced by kLoad steps (their blocks alias caller-owned bindings and
-  /// are re-loaded instead of serialized), and every block of every other
-  /// live node — the inputs of later steps plus the plan outputs.
-  [[nodiscard]] Status CommitDurable(const PlanStep& step) {
-    TraceSpan span(kTraceCheckpoint,
-                   "commit epoch after step " + std::to_string(step.id), -1,
-                   TraceArg("step", int64_t{step.id}));
-    std::set<int> live;  // ordered: the manifest layout is deterministic
-    for (const PlanStep& later : plan_.steps) {
-      if (later.id <= step.id) continue;
-      for (int input : later.inputs) live.insert(input);
-    }
-    for (const PlanOutput& out : plan_.outputs) live.insert(out.node);
-
-    std::vector<int> reload_nodes;
-    std::vector<PendingDurableBlock> pending;
-    for (const int node_id : live) {
-      auto& dm = node_data_[static_cast<size_t>(node_id)];
-      if (dm == nullptr) continue;  // not produced yet
-      const PlanNode& node = NodeOf(node_id);
-      if (node.producer_step >= 0 &&
-          plan_.steps[static_cast<size_t>(node.producer_step)].kind ==
-              StepKind::kLoad) {
-        reload_nodes.push_back(node_id);
-        continue;
-      }
-      if (dm->SpilledEntries() > 0) {
-        DMAC_RETURN_NOT_OK(dm->EnsureResident().status());
-      }
-      // Snapshot the *recorded* checksums, deliberately not re-stamping:
-      // re-hashing here would launder a boundary-injected corruption into
-      // the manifest. A payload that disagrees with its recorded checksum
-      // either keeps the committed epoch's verified file for its position
-      // or is written as a file that fails verification at Open, and the
-      // epoch falls back — conservative and safe.
-      const int64_t bcols = dm->grid().block_cols();
-      for (int w = 0; w < opts_.num_workers; ++w) {
-        for (int64_t key : dm->SortedWorkerKeys(w)) {
-          auto ptr = dm->Get(w, key / bcols, key % bcols);
-          if (ptr == nullptr) continue;
-          pending.push_back(PendingDurableBlock{
-              node_id, w, key, dm->ChecksumAt(w, key / bcols, key % bcols),
-              std::move(ptr)});
-        }
-      }
-    }
-    std::vector<std::pair<std::string, double>> scalar_env(scalars_.begin(),
-                                                           scalars_.end());
-    std::sort(scalar_env.begin(), scalar_env.end(),
-              [](const auto& a, const auto& b) { return a.first < b.first; });
-
-    const int64_t before = durable_store_->bytes_written();
-    const Status st = durable_store_->Commit(step.id, checkpoint_counter_,
-                                             scalar_env, reload_nodes,
-                                             pending);
-    if (!st.ok()) {
-      // A simulated process death must propagate (in hard mode the crash
-      // never returns; soft mode surfaces kInternal and refuses further
-      // I/O). Any other disk fault is absorbed: the run continues, covered
-      // by the previous committed epoch.
-      if (storage_io_->dead() || st.code() == StatusCode::kInternal) return st;
-      ++stats_.checkpoint_failures;
-      metric_fault_checkpoint_failures_->Increment();
-      return Status::Ok();
-    }
-    const int64_t written = durable_store_->bytes_written() - before;
-    stats_.durable_checkpoint_bytes += written;
-    ++stats_.durable_epochs;
-    metric_fault_durable_bytes_->Add(static_cast<double>(written));
-    metric_fault_epochs_->Increment();
-    return Status::Ok();
-  }
-
-  /// Restores the last committed durable snapshot when `--resume` asked for
-  /// it: scalars bit-exactly, every snapshotted node's blocks (checksum-
-  /// verified), lineage manifests, and the in-memory checkpoint cache (hot
-  /// in-process recovery never re-reads disk). Steps the snapshot covers
-  /// are skipped by the main loop, except the kLoad steps of reload-marked
-  /// nodes, which re-execute against the caller's bindings. A fresh store
-  /// (no committed epoch) resumes from nothing — a plain full run.
-  Status MaybeResume() {
-    if (!opts_.resume || durable_store_ == nullptr) return Status::Ok();
-    const DurableSnapshot* snap = durable_store_->committed();
-    if (snap == nullptr) return Status::Ok();
-    Timer timer;
-    TraceSpan span(kTraceCheckpoint,
-                   "resume epoch " + std::to_string(snap->epoch), -1,
-                   TraceArg("epoch", snap->epoch) + "," +
-                       TraceArg("step", int64_t{snap->resume_step}));
-
-    // The snapshot must describe *this* plan; a stale directory from a
-    // different program or config must fail loudly, not half-restore.
-    const auto bad = [&](const std::string& why) {
-      return Status::Invalid("resume: checkpoint dir " +
-                             durable_store_->dir() +
-                             " does not match this plan (" + why + ")");
-    };
-    if (snap->resume_step < 0 ||
-        static_cast<size_t>(snap->resume_step) >= plan_.steps.size()) {
-      return bad("resume step " + std::to_string(snap->resume_step) +
-                 " out of range");
-    }
-    for (const int node_id : snap->reload_nodes) {
-      if (node_id < 0 || static_cast<size_t>(node_id) >= plan_.nodes.size()) {
-        return bad("reload node " + std::to_string(node_id) + " out of range");
-      }
-      const int producer = NodeOf(node_id).producer_step;
-      if (producer < 0 ||
-          plan_.steps[static_cast<size_t>(producer)].kind != StepKind::kLoad) {
-        return bad("reload node " + std::to_string(node_id) +
-                   " is not load-produced");
-      }
-      reload_step_ids_.insert(producer);
-    }
-
-    for (const auto& [name, bits] : snap->scalars) {
-      double value = 0;
-      static_assert(sizeof(value) == sizeof(bits));
-      std::memcpy(&value, &bits, sizeof(value));
-      scalars_[name] = value;
-    }
-    checkpoint_counter_ = snap->checkpoint_counter;
-    resume_skip_step_ = snap->resume_step;
-
-    // Group the snapshot's blocks per node and rebuild each DistMatrix.
-    std::map<int, std::vector<const DurableBlock*>> per_node;
-    for (const DurableBlock& b : snap->blocks) {
-      if (b.node_id < 0 ||
-          static_cast<size_t>(b.node_id) >= plan_.nodes.size()) {
-        return bad("block node " + std::to_string(b.node_id) +
-                   " out of range");
-      }
-      if (b.worker < 0 || b.worker >= opts_.num_workers) {
-        return bad("block worker " + std::to_string(b.worker) +
-                   " out of range — was the snapshot taken with a different "
-                   "--workers?");
-      }
-      per_node[b.node_id].push_back(&b);
-    }
-    for (const auto& [node_id, refs] : per_node) {
-      const PlanNode& node = NodeOf(node_id);
-      auto dm = NewData(node_id, node.stats.shape);
-      const int64_t bcols = dm->grid().block_cols();
-      NodeLineage lin;
-      lin.node_id = node_id;
-      lin.producer_step = node.producer_step;
-      if (node.producer_step >= 0) {
-        lin.inputs =
-            plan_.steps[static_cast<size_t>(node.producer_step)].inputs;
-      }
-      std::vector<CheckpointBlock> cache_blocks;
-      // One read per distinct file: Broadcast replicas share a payload on
-      // disk exactly as they do in memory.
-      std::unordered_map<std::string, std::shared_ptr<const Block>> loaded;
-      for (const DurableBlock* ref : refs) {
-        const int64_t bi = ref->key / bcols;
-        const int64_t bj = ref->key % bcols;
-        if (bi >= dm->grid().block_rows() || bj >= dm->grid().block_cols()) {
-          return bad("block key " + std::to_string(ref->key) +
-                     " outside node " + std::to_string(node_id) + "'s grid");
-        }
-        auto [it, inserted] = loaded.try_emplace(ref->file);
-        if (inserted) {
-          DMAC_ASSIGN_OR_RETURN(Block block, durable_store_->ReadBlock(*ref));
-          it->second = std::make_shared<const Block>(std::move(block));
-          ++stats_.resume_restored_blocks;
-          metric_fault_resume_restored_->Increment();
-        }
-        dm->Put(ref->worker, bi, bj, it->second);
-        lin.blocks.push_back({ref->worker, ref->key, ref->checksum});
-        cache_blocks.push_back(
-            {ref->worker, ref->key, ref->checksum, it->second});
-      }
-      dm->SetChecksums();
-      lineage_.Record(std::move(lin));
-      // Write-through cache hydration: post-resume in-process recovery hits
-      // memory first, like it would in an uninterrupted run.
-      checkpoints_.Put(node_id, std::move(cache_blocks));
-    }
-    stats_.resumed = true;
-    stats_.resume_step = snap->resume_step;
-    metric_fault_resume_seconds_->Add(timer.ElapsedSeconds());
-    return Status::Ok();
-  }
 
   // ---- step dispatch ------------------------------------------------------
 
-  Status ExecuteStep(const PlanStep& step) {
+  Status ExecuteStep(const PlanStep& step) override {
     DMAC_RETURN_NOT_OK(CheckCancel());
     if (gov_.spill != nullptr) {
       DMAC_RETURN_NOT_OK(EnsureInputsResident(step));
@@ -1234,8 +510,9 @@ class Executor::Impl {
       case StepKind::kReduce:
         return ExecReduce(step);
       case StepKind::kScalarAssign: {
-        DMAC_ASSIGN_OR_RETURN(double v, EvalScalar(step.scalar, scalars_));
-        scalars_[step.scalar_out] = v;
+        DMAC_ASSIGN_OR_RETURN(double v,
+                              EvalScalar(step.scalar, store_.scalars));
+        store_.scalars[step.scalar_out] = v;
         return Status::Ok();
       }
     }
@@ -1311,7 +588,7 @@ class Executor::Impl {
   }
 
   Status ExecPartition(const PlanStep& step) {
-    const DistMatrix& src = Data(step.inputs[0]);
+    const DistMatrix& src = store_.Data(step.inputs[0]);
     auto dst = NewData(step.output, src.grid().matrix);
     DMAC_CHECK(dst->scheme() != Scheme::kBroadcast);
     // A repartition onto the *same* scheme (SystemML-S's hash shuffle of an
@@ -1340,7 +617,7 @@ class Executor::Impl {
   }
 
   Status ExecBroadcast(const PlanStep& step) {
-    const DistMatrix& src = Data(step.inputs[0]);
+    const DistMatrix& src = store_.Data(step.inputs[0]);
     auto dst = NewData(step.output, src.grid().matrix);
     DMAC_CHECK(dst->scheme() == Scheme::kBroadcast);
     Transport::Round round(&transport_, CommKind::kBroadcast, "broadcast",
@@ -1363,7 +640,7 @@ class Executor::Impl {
   }
 
   Status ExecTranspose(const PlanStep& step) {
-    const DistMatrix& src = Data(step.inputs[0]);
+    const DistMatrix& src = store_.Data(step.inputs[0]);
     auto dst = NewData(step.output, src.grid().matrix.Transposed());
     return MapBlocks(step, src, dst.get(), TaskKind::kTranspose,
                      /*transpose=*/true,
@@ -1408,7 +685,7 @@ class Executor::Impl {
   }
 
   Status ExecExtract(const PlanStep& step) {
-    const DistMatrix& src = Data(step.inputs[0]);
+    const DistMatrix& src = store_.Data(step.inputs[0]);
     if (src.scheme() != Scheme::kBroadcast) {
       return Status::Internal("extract requires a Broadcast source");
     }
@@ -1451,8 +728,8 @@ class Executor::Impl {
   }
 
   Status ExecMultiply(const PlanStep& step) {
-    const DistMatrix& a = Data(step.inputs[0]);
-    const DistMatrix& b = Data(step.inputs[1]);
+    const DistMatrix& a = store_.Data(step.inputs[0]);
+    const DistMatrix& b = store_.Data(step.inputs[1]);
     // A transpose-fused operand is stored untransposed: its *effective*
     // shape is the stored shape flipped, its stored scheme is the opposite
     // of what the strategy requires of the effective operand, and logical
@@ -1582,15 +859,7 @@ class Executor::Impl {
       /*idempotent=*/false);  // a second run would duplicate the partials
     };
     const auto round_boundary = [&] {
-      // Partials are in flight. A death forced here (death_in_flight)
-      // bumps the epoch while the victim's sends sit queued, so the flush
-      // fences them — the stale-epoch path the degraded-mode tests audit.
-      if (membership_ != nullptr && opts_.fault.death_in_flight &&
-          opts_.fault.death_step == step.id && !forced_death_applied_ &&
-          !recovering_) {
-        forced_death_applied_ = true;
-        ApplyDeath(opts_.fault.death_worker, step.stage);
-      }
+      recovery_->AtRoundBoundary(step);
       // The cheapest place to notice a mid-CPMM cancel.
       return CheckCancel();
     };
@@ -1704,8 +973,8 @@ class Executor::Impl {
   }
 
   Status ExecCellwise(const PlanStep& step) {
-    const DistMatrix& a = Data(step.inputs[0]);
-    const DistMatrix& b = Data(step.inputs[1]);
+    const DistMatrix& a = store_.Data(step.inputs[0]);
+    const DistMatrix& b = store_.Data(step.inputs[1]);
     if (a.grid().matrix != b.grid().matrix) {
       return Status::DimensionMismatch("distributed cell-wise op " +
                                        a.grid().matrix.ToString() + " vs " +
@@ -1738,8 +1007,9 @@ class Executor::Impl {
   }
 
   Status ExecScalarOp(const PlanStep& step) {
-    const DistMatrix& a = Data(step.inputs[0]);
-    DMAC_ASSIGN_OR_RETURN(double scalar, EvalScalar(step.scalar, scalars_));
+    const DistMatrix& a = store_.Data(step.inputs[0]);
+    DMAC_ASSIGN_OR_RETURN(double scalar,
+                          EvalScalar(step.scalar, store_.scalars));
     auto c = NewData(step.output, a.grid().matrix);
     const bool add = step.op_kind == OpKind::kScalarAdd;
     const Scalar v = static_cast<Scalar>(scalar);
@@ -1752,7 +1022,7 @@ class Executor::Impl {
   }
 
   Status ExecCellUnary(const PlanStep& step) {
-    const DistMatrix& a = Data(step.inputs[0]);
+    const DistMatrix& a = store_.Data(step.inputs[0]);
     auto c = NewData(step.output, a.grid().matrix);
     const UnaryFnKind fn = step.unary_fn;
     return MapBlocks(step, a, c.get(), TaskKind::kElementwise,
@@ -1768,7 +1038,7 @@ class Executor::Impl {
   /// per-worker partial vectors that are shuffled to their owners and added
   /// (the aggregation whose plan cost is N·|out|).
   Status ExecAggregate(const PlanStep& step) {
-    const DistMatrix& a = Data(step.inputs[0]);
+    const DistMatrix& a = store_.Data(step.inputs[0]);
     const bool rows = step.op_kind == OpKind::kRowSums;
     const Shape out_shape =
         rows ? Shape{a.grid().matrix.rows, 1} : Shape{1, a.grid().matrix.cols};
@@ -1852,7 +1122,7 @@ class Executor::Impl {
   }
 
   Status ExecReduce(const PlanStep& step) {
-    const DistMatrix& a = Data(step.inputs[0]);
+    const DistMatrix& a = store_.Data(step.inputs[0]);
     const bool broadcast = a.scheme() == Scheme::kBroadcast;
     const int workers = broadcast ? 1 : opts_.num_workers;
     double total = 0;
@@ -1870,7 +1140,7 @@ class Executor::Impl {
       total += partial;
     }
     if (step.reduce == ReduceKind::kNorm2) total = std::sqrt(total);
-    scalars_[step.scalar_out] = total;
+    store_.scalars[step.scalar_out] = total;
     transport_.ChargeReduce();  // the N partials reach the driver
     return Status::Ok();
   }
@@ -1878,7 +1148,7 @@ class Executor::Impl {
   // ---- gather -------------------------------------------------------------
 
   Result<LocalMatrix> Gather(int node_id) {
-    DistMatrix& dm = Data(node_id);
+    DistMatrix& dm = store_.Data(node_id);
     if (gov_.spill != nullptr && dm.SpilledEntries() > 0) {
       TraceSpan span(kTraceSpill, "restore node " + std::to_string(node_id),
                      -1, TraceArg("node", int64_t{node_id}));
@@ -1909,8 +1179,7 @@ class Executor::Impl {
   BufferPool buffers_;
   LocalEngine engine_;
   int64_t block_size_ = 0;
-  std::vector<std::shared_ptr<DistMatrix>> node_data_;
-  std::unordered_map<std::string, double> scalars_;
+  NodeStore store_;
   ExecStats stats_;
 
   // Governance (docs/governance.md). The token is a value sharing state
@@ -1922,42 +1191,11 @@ class Executor::Impl {
   int step_clock_ = 0;
   bool cancel_span_emitted_ = false;
 
-  // Fault tolerance (docs/fault_tolerance.md). `ft_` is the master switch
-  // the hot paths branch on; `injector_` is non-null only when injection is
-  // configured; `recovering_` marks work that must be attributed to
-  // recovery (and must not be re-injected).
-  bool ft_ = false;
-  bool recovering_ = false;
-  bool plan_has_hints_ = false;
-  int64_t checkpoint_counter_ = 0;
-  std::unique_ptr<FaultInjector> injector_;
-  LineageTracker lineage_;
-  CheckpointStore checkpoints_;
-
-  // Durable checkpoints & crash restart (docs/fault_tolerance.md,
-  // "Durability & restart"). Both pointers are null without a
-  // --checkpoint-dir; `effective_checkpoint_every_` is checkpoint_every
-  // defaulted to 1 when only the directory was given. Steps with
-  // id <= resume_skip_step_ are covered by the restored snapshot; the ids
-  // in `reload_step_ids_` are the load steps re-executed anyway.
-  std::shared_ptr<StorageIO> storage_io_;
-  std::unique_ptr<DurableCheckpointStore> durable_store_;
-  int effective_checkpoint_every_ = 0;
-  int resume_skip_step_ = -1;
-  std::set<int> reload_step_ids_;
-
-  // Membership and degraded mode (docs/fault_tolerance.md). The pointer is
-  // null, and the transport has no network layer, unless the spec can kill
-  // workers or perturb messages, so clean runs deliver every block
-  // directly. `retry_policy_` also drives the step retry loop (it encodes
-  // the same exponential backoff the executor always used).
-  std::unique_ptr<ClusterMembership> membership_;
-  RetryPolicy retry_policy_;
+  // Fault tolerance (docs/fault_tolerance.md): lineage, checkpoints,
+  // durable epochs, injection, membership and the retry loop. Declared
+  // before the transport, whose network layer points into it.
+  std::unique_ptr<Recovery> recovery_;
   Transport transport_;  // every block moved between worker stores
-  Status quorum_status_ = Status::Ok();
-  std::vector<int> host_map_;  // cached HostMap; applied to new matrices
-  bool forced_death_applied_ = false;
-  int min_workers_ = 1;
 
   // Cached metric instruments (stable pointers; no-ops while the registry
   // is disabled).
@@ -1971,56 +1209,8 @@ class Executor::Impl {
       MetricRegistry::Global().gauge(kMetricPlanEstimateDrift);
   Counter* metric_estimate_drift_events_ =
       MetricRegistry::Global().counter(kMetricPlanEstimateDriftEvents);
-  Counter* metric_fault_injected_ =
-      MetricRegistry::Global().counter(kMetricFaultInjected);
-  Counter* metric_fault_retries_ =
-      MetricRegistry::Global().counter(kMetricFaultRetries);
-  Counter* metric_fault_recomputed_ =
-      MetricRegistry::Global().counter(kMetricFaultRecomputedBlocks);
-  Counter* metric_fault_restored_ =
-      MetricRegistry::Global().counter(kMetricFaultRestoredBlocks);
   Counter* metric_fault_speculated_ =
       MetricRegistry::Global().counter(kMetricFaultSpeculatedTasks);
-  Counter* metric_fault_checkpoint_bytes_ =
-      MetricRegistry::Global().counter(kMetricFaultCheckpointBytes);
-  Counter* metric_fault_recovery_seconds_ =
-      MetricRegistry::Global().counter(kMetricFaultRecoverySeconds);
-  Counter* metric_fault_durable_bytes_ =
-      MetricRegistry::Global().counter(kMetricFaultCheckpointDurableBytes);
-  Counter* metric_fault_epochs_ =
-      MetricRegistry::Global().counter(kMetricFaultCheckpointEpochs);
-  Counter* metric_fault_checkpoint_failures_ =
-      MetricRegistry::Global().counter(kMetricFaultCheckpointFailures);
-  Counter* metric_fault_resume_restored_ =
-      MetricRegistry::Global().counter(kMetricFaultResumeRestoredBlocks);
-  Counter* metric_fault_resume_seconds_ =
-      MetricRegistry::Global().counter(kMetricFaultResumeSeconds);
-  Counter* metric_fault_disk_faults_ =
-      MetricRegistry::Global().counter(kMetricFaultDiskFaults);
-  Counter* metric_net_messages_ =
-      MetricRegistry::Global().counter(kMetricNetMessages);
-  Counter* metric_net_retransmits_ =
-      MetricRegistry::Global().counter(kMetricNetRetransmits);
-  Counter* metric_net_retrans_bytes_ =
-      MetricRegistry::Global().counter(kMetricNetRetransBytes);
-  Counter* metric_net_duplicates_ =
-      MetricRegistry::Global().counter(kMetricNetDuplicates);
-  Counter* metric_net_reordered_ =
-      MetricRegistry::Global().counter(kMetricNetReordered);
-  Counter* metric_net_delay_seconds_ =
-      MetricRegistry::Global().counter(kMetricNetDelaySeconds);
-  Counter* metric_net_partitions_ =
-      MetricRegistry::Global().counter(kMetricNetPartitions);
-  Counter* metric_net_stale_fenced_ =
-      MetricRegistry::Global().counter(kMetricNetStaleFenced);
-  Counter* metric_net_stale_applied_ =
-      MetricRegistry::Global().counter(kMetricNetStaleApplied);
-  Gauge* metric_membership_epoch_ =
-      MetricRegistry::Global().gauge(kMetricMembershipEpoch);
-  Gauge* metric_membership_dead_ =
-      MetricRegistry::Global().gauge(kMetricMembershipWorkersDead);
-  Counter* metric_membership_detection_ =
-      MetricRegistry::Global().counter(kMetricMembershipDetectionSeconds);
 };
 
 Executor::Executor(ExecutorOptions options) : options_(options) {}

@@ -21,7 +21,7 @@ void Transport::EnableNetwork(FaultInjector* injector,
 
 void Transport::ChargeReduce() {
   const double bytes = 8.0 * num_workers_;
-  if (*recovering_) {
+  if (recovering_) {
     stats_->recovery_bytes += bytes;
   } else {
     stats_->shuffle_bytes += bytes;
@@ -35,7 +35,7 @@ void Transport::ChargeReduce() {
 
 void Transport::Count(CommKind kind, double bytes) {
   // Recovery traffic stays out of the useful-communication totals.
-  if (*recovering_) {
+  if (recovering_) {
     stats_->recovery_bytes += bytes;
     ++stats_->recovery_events;
   } else if (kind == CommKind::kShuffle) {
@@ -70,7 +70,7 @@ bool Transport::Round::Charge(int from, int to, double bytes) {
   // Retries and lineage recovery deliver directly, so a bounded retry
   // budget is guaranteed to converge.
   return from != to && transport_->net_ != nullptr &&
-         !*transport_->recovering_;
+         !transport_->recovering_;
 }
 
 void Transport::Round::Enqueue(int from, int to, double bytes,
@@ -88,7 +88,7 @@ void Transport::Round::Close() {
 }
 
 Status Transport::Round::Flush() {
-  if (transport_->net_ == nullptr || *transport_->recovering_) {
+  if (transport_->net_ == nullptr || transport_->recovering_) {
     return Status::Ok();
   }
   return transport_->net_->Flush(name_.c_str());

@@ -9,7 +9,7 @@
 //    onto an unchanged scheme charges the (N-1)/N a real hash shuffle moves;
 //  * a round counts once, as a shuffle or a broadcast event, in ExecStats
 //    and the runtime metrics, or only in recovery_bytes / recovery_events
-//    while the executor recovers;
+//    while recovery runs (set_recovering);
 //  * on the useful attempt of a run with a SimNetwork, a send between two
 //    slots is queued on the network (which draws its faults at send time)
 //    and delivered by Flush; every other send is delivered at once;
@@ -37,10 +37,14 @@ class Transport {
  public:
   class Round;
 
-  /// `recovering` is the executor's recovery flag, read at every charge
-  /// and send; `stats` receives the byte and round totals.
-  Transport(int num_workers, ExecStats* stats, const bool* recovering)
-      : num_workers_(num_workers), stats_(stats), recovering_(recovering) {}
+  /// `stats` receives the byte and round totals.
+  Transport(int num_workers, ExecStats* stats)
+      : num_workers_(num_workers), stats_(stats) {}
+
+  /// Marks recovery work: while set, every charge and round counts only
+  /// toward the recovery totals and every send is direct.
+  void set_recovering(bool recovering) { recovering_ = recovering; }
+  bool recovering() const { return recovering_; }
 
   /// Routes useful-attempt sends through a fault-injecting network layer
   /// and maps slots to hosts through `membership`. Without this call every
@@ -71,7 +75,7 @@ class Transport {
 
   int num_workers_;
   ExecStats* stats_;
-  const bool* recovering_;
+  bool recovering_ = false;
   const ClusterMembership* membership_ = nullptr;  // not owned; may be null
   std::unique_ptr<SimNetwork> net_;  // null unless EnableNetwork ran
   Counter* metric_shuffle_bytes_ =

@@ -51,6 +51,38 @@ inline FaultAppCase MakeSmallPageRank() {
   return c;
 }
 
+/// A gradient-descent-shaped loop over random inputs only, with
+/// no checkpoint hints. Without a kLoad step a durable epoch serialises
+/// every live node, and without hints every producing step checkpoints,
+/// so every block a fault damages has a checkpointed payload to restore.
+inline FaultAppCase MakeSmallRandomIteration() {
+  ProgramBuilder pb;
+  Mat a = pb.Random("A", {64, 48});
+  Mat x = pb.Random("x", {48, 16});
+  Mat y = pb.Var("y");
+  for (int i = 0; i < 3; ++i) {
+    pb.Assign(y, a.mm(x));
+    pb.Assign(x, x - a.t().mm(y) * 0.001);
+  }
+  pb.Output(x);
+  pb.Output(y);
+  return FaultAppCase{"random-iteration", pb.Build(), {}};
+}
+
+/// True when `program`'s plan under `config` has a Row-partitioned node:
+/// its blocks are spread over the workers and have no Broadcast replica,
+/// so a crashed worker's share can come back only by checkpoint restore or
+/// by recomputation.
+inline bool PlanHasRowNode(const Program& program, const RunConfig& config) {
+  auto plan = PlanProgram(program, config);
+  EXPECT_TRUE(plan.ok()) << plan.status();
+  if (!plan.ok()) return false;
+  for (const PlanNode& node : plan->nodes) {
+    if (node.producer_step >= 0 && node.scheme() == Scheme::kRow) return true;
+  }
+  return false;
+}
+
 /// Recovery correctness is *bit* identity, not approximate equality: every
 /// output block must hash to the fault-free run's checksum and every scalar
 /// must compare exactly equal.

@@ -1,4 +1,4 @@
-// LineageTracker manifests and the driver-side CheckpointStore.
+// LineageTracker manifests and the checkpoint payloads they pin.
 #include "fault/lineage.h"
 
 #include <gtest/gtest.h>
@@ -6,7 +6,6 @@
 #include <memory>
 #include <vector>
 
-#include "fault/checkpoint.h"
 #include "fault/checksum.h"
 #include "matrix/block.h"
 
@@ -17,23 +16,20 @@ NodeLineage MakeLineage(int node_id) {
   NodeLineage lin;
   lin.node_id = node_id;
   lin.producer_step = 3;
-  lin.inputs = {0, 1};
-  lin.blocks = {{1, 7, 0xbeef}, {0, 2, 0xcafe}, {0, 5, 0xfeed}};
+  lin.blocks = {{1, 7, 0xbeef, nullptr},
+                {0, 2, 0xcafe, nullptr},
+                {0, 5, 0xfeed, nullptr}};
   return lin;
 }
 
-TEST(LineageTrackerTest, RecordFindForgetRoundTrip) {
+TEST(LineageTrackerTest, RecordFindRoundTrip) {
   LineageTracker tracker;
   EXPECT_EQ(tracker.Find(4), nullptr);
   tracker.Record(MakeLineage(4));
   const NodeLineage* found = tracker.Find(4);
   ASSERT_NE(found, nullptr);
   EXPECT_EQ(found->producer_step, 3);
-  EXPECT_EQ(found->inputs, (std::vector<int>{0, 1}));
   EXPECT_EQ(tracker.size(), 1u);
-  tracker.Forget(4);
-  EXPECT_EQ(tracker.Find(4), nullptr);
-  EXPECT_EQ(tracker.size(), 0u);
 }
 
 TEST(LineageTrackerTest, BlocksAreSortedForDeterministicComparison) {
@@ -64,41 +60,48 @@ TEST(LineageTrackerTest, ReRecordingReplacesTheManifest) {
   EXPECT_EQ(tracker.size(), 1u);
 }
 
-// ---- checkpoint store ---------------------------------------------------
+// ---- checkpoint pins ----------------------------------------------------
 
-std::vector<CheckpointBlock> Snapshot(uint64_t seed) {
-  std::vector<CheckpointBlock> blocks;
-  auto block = std::make_shared<const Block>(RandomDenseBlock(4, 4, seed));
-  blocks.push_back({0, 0, BlockChecksum(*block), block});
-  return blocks;
+std::shared_ptr<const Block> Payload(uint64_t seed) {
+  return std::make_shared<const Block>(RandomDenseBlock(4, 4, seed));
 }
 
-TEST(CheckpointStoreTest, PutFindForgetRoundTrip) {
-  CheckpointStore store;
-  EXPECT_EQ(store.Find(2), nullptr);
-  store.Put(2, Snapshot(1));
-  const auto* snap = store.Find(2);
-  ASSERT_NE(snap, nullptr);
-  ASSERT_EQ(snap->size(), 1u);
-  EXPECT_EQ((*snap)[0].checksum, BlockChecksum(*(*snap)[0].block));
-  EXPECT_EQ(store.size(), 1u);
-  store.Forget(2);
-  EXPECT_EQ(store.Find(2), nullptr);
-  EXPECT_EQ(store.total_bytes(), 0);
+TEST(LineageTrackerTest, PinnedPayloadsSurviveRecordAndFind) {
+  LineageTracker tracker;
+  NodeLineage lin = MakeLineage(2);
+  for (LineageBlockRecord& rec : lin.blocks) {
+    rec.pinned = Payload(static_cast<uint64_t>(rec.key));
+    rec.checksum = BlockChecksum(*rec.pinned);
+  }
+  tracker.Record(std::move(lin));
+  const NodeLineage* found = tracker.Find(2);
+  ASSERT_NE(found, nullptr);
+  for (const LineageBlockRecord& rec : found->blocks) {
+    ASSERT_NE(rec.pinned, nullptr);
+    EXPECT_EQ(rec.checksum, BlockChecksum(*rec.pinned));
+  }
 }
 
-TEST(CheckpointStoreTest, ReplacementKeepsTotalButGrowsWritten) {
-  CheckpointStore store;
-  store.Put(2, Snapshot(1));
-  const int64_t bytes = store.total_bytes();
-  ASSERT_GT(bytes, 0);
-  EXPECT_EQ(store.bytes_written(), bytes);
-  // A later iteration re-checkpoints the same node: the live footprint is
-  // one snapshot, the lifetime-written metric keeps accumulating.
-  store.Put(2, Snapshot(2));
-  EXPECT_EQ(store.total_bytes(), bytes);
-  EXPECT_EQ(store.bytes_written(), 2 * bytes);
-  EXPECT_EQ(store.size(), 1u);
+TEST(LineageTrackerTest, PinnedBytesCountASharedPayloadOnce) {
+  NodeLineage lin = MakeLineage(2);
+  EXPECT_EQ(PinnedBytes(lin), 0);  // not checkpointed
+  // Two replicas of one Broadcast block share a payload; the third record
+  // pins its own.
+  const auto shared = Payload(1);
+  const auto own = Payload(2);
+  lin.blocks[0].pinned = shared;
+  lin.blocks[1].pinned = shared;
+  lin.blocks[2].pinned = own;
+  EXPECT_EQ(PinnedBytes(lin), shared->MemoryBytes() + own->MemoryBytes());
+
+  // Re-recording the node (a later iteration) replaces the pins.
+  LineageTracker tracker;
+  tracker.Record(lin);
+  NodeLineage next = MakeLineage(2);
+  next.blocks[0].pinned = own;
+  const NodeLineage& stored = tracker.Record(std::move(next));
+  EXPECT_EQ(&stored, tracker.Find(2));
+  EXPECT_EQ(PinnedBytes(stored), own->MemoryBytes());
 }
 
 }  // namespace

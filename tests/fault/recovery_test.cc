@@ -119,6 +119,32 @@ TEST(RecoveryTest, CheckpointingIsTransparent) {
   ExpectBitIdentical(baseline->result, outcome->result, "checkpoint");
 }
 
+/// With checkpoint_every = 1 and no hints every node is checkpointed, so
+/// the crashed worker's blocks must come back by restore: restore runs
+/// before replica repair and recompute, and a Row-partitioned node has no
+/// replica, so any block without a checkpointed payload would have been
+/// recomputed.
+TEST(RecoveryTest, CrashedCheckpointedBlocksAreRestoredNotRecomputed) {
+  const FaultAppCase app = MakeSmallRandomIteration();
+  RunConfig config = BaseConfig();
+  config.block_size = kFaultBs;
+  const auto baseline = RunProgram(app.program, app.MakeBindings(), config);
+  ASSERT_TRUE(baseline.ok()) << baseline.status();
+  ASSERT_TRUE(PlanHasRowNode(app.program, config));
+
+  config.checkpoint_every = 1;
+  config.fault.enabled = true;
+  config.fault.seed = 7;
+  config.fault.crash_prob = 1;
+  const auto outcome = RunProgram(app.program, app.MakeBindings(), config);
+  ASSERT_TRUE(outcome.ok()) << outcome.status();
+  const ExecStats& stats = outcome->result.stats;
+  EXPECT_GT(stats.faults_injected, 0);
+  EXPECT_GT(stats.restored_blocks, 0);
+  EXPECT_EQ(stats.recomputed_blocks, 0);
+  ExpectBitIdentical(baseline->result, outcome->result, "restore");
+}
+
 TEST(RecoveryTest, DisabledFaultPathLeavesCountersZero) {
   const FaultAppCase app = MakeSmallPageRank();
   const auto outcome =

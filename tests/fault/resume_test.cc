@@ -137,6 +137,42 @@ TEST(ResumeTest, ResumeAfterCompletionReExecutesNothing) {
   ExpectBitIdentical(first->result, again->result, "resume after completion");
 }
 
+/// After a resume the checkpointed payloads come from disk: a worker crash
+/// in the resumed run must bring every resumed block back by restore, not
+/// by recomputation (recovery_test.cc has the same case without a resume).
+TEST(ResumeTest, CrashAfterResumeRestoresFromTheDiskSnapshot) {
+  const FaultAppCase app = MakeSmallRandomIteration();
+  const RunConfig base = BaseConfig(13);
+  auto clean = RunProgram(app.program, app.MakeBindings(), base);
+  ASSERT_TRUE(clean.ok()) << clean.status();
+  ASSERT_TRUE(PlanHasRowNode(app.program, base));
+
+  TempDir dir("restore");
+  RunConfig killed = base;
+  killed.checkpoint_dir = dir.path;
+  killed.fault.disk.crash_at = 120;
+  killed.fault.disk.crash_soft = true;
+  auto first = RunProgram(app.program, app.MakeBindings(), killed);
+  ASSERT_FALSE(first.ok()) << "the run finished before write point 120";
+  ASSERT_EQ(first.status().code(), StatusCode::kInternal) << first.status();
+
+  RunConfig config = base;
+  config.checkpoint_dir = dir.path;
+  config.resume = true;
+  config.fault.enabled = true;
+  config.fault.seed = 7;
+  config.fault.crash_prob = 1;
+  auto run = RunProgram(app.program, app.MakeBindings(), config);
+  ASSERT_TRUE(run.ok()) << run.status();
+  const ExecStats& stats = run->result.stats;
+  ASSERT_TRUE(stats.resumed);
+  EXPECT_GT(stats.resume_step, 0);
+  EXPECT_GT(stats.faults_injected, 0);
+  EXPECT_GT(stats.restored_blocks, 0);
+  EXPECT_EQ(stats.recomputed_blocks, 0);
+  ExpectBitIdentical(clean->result, run->result, "restore after resume");
+}
+
 TEST(ResumeTest, ResumeWithFreshDirectoryIsAPlainFullRun) {
   const FaultAppCase app = MakeSmallPageRank();
   const RunConfig base = BaseConfig(5);
